@@ -104,11 +104,10 @@ fn bench_ntt_plan<R: Reducer>(snap: &mut Snapshot, plan: &NttPlan<R>, label: &st
     snap.push(SnapshotEntry::ns(format!("negacyclic_mul_{label}"), mul));
 }
 
-/// Vector-backend NTT arms for one plan: the single-polynomial AVX2
-/// transform (`_avx2`) and the eight-way interleaved transform
-/// (`_interleaved8`, reported **per polynomial**). On hosts without
-/// AVX2 these measure the bit-identical scalar fallback — the snapshot
-/// records whether the vector unit was live in `avx2_host`.
+/// Vector-backend NTT arms for one plan: the AVX2 forward and inverse
+/// transforms (`_avx2`). On hosts without AVX2 these measure the
+/// bit-identical scalar fallback — the run prints whether the vector
+/// unit was live.
 fn bench_ntt_avx2<R: Reducer>(snap: &mut Snapshot, plan: &NttPlan<R>, label: &str, ntt_reps: u32) {
     let n = plan.n();
     let q = plan.q();
@@ -133,22 +132,6 @@ fn bench_ntt_avx2<R: Reducer>(snap: &mut Snapshot, plan: &NttPlan<R>, label: &st
         ntt_reps,
     );
     snap.push(SnapshotEntry::ns(format!("ntt_inverse_{label}_avx2"), inv));
-
-    let refs: Vec<&[u32]> = (0..8).map(|_| poly.as_slice()).collect();
-    let mut wide = vec![0u32; 8 * n];
-    rlwe_ntt::avx2::interleave8_into(&refs, n, &mut wide);
-    let template = wide.clone();
-    let fwd8 = time_ns(
-        || {
-            wide.copy_from_slice(&template);
-            plan.forward_interleaved8(std::hint::black_box(&mut wide));
-        },
-        ntt_reps / 4,
-    );
-    snap.push(SnapshotEntry::ns(
-        format!("ntt_forward_{label}_interleaved8"),
-        fwd8 / 8.0,
-    ));
 }
 
 /// Pre-PR-7 bit-source behavior for the sampler ablation: forwards only
@@ -170,10 +153,8 @@ impl<B: BitSource> BitSource for BitAtATime<B> {
 /// Sampler ablation arms (ns **per sample**, constant-time CDT rung,
 /// one ring-sized fill per measurement): the pre-PR scalar baseline
 /// (`_scalar`), the bulk-refill + word-wise bit extraction path on the
-/// same per-sample kernel (`_bulk`), the 8-lane table scan (`_avx2`
-/// where the host has it — otherwise the bit-identical scalar kernel),
-/// and the lane-parallel interleaved fill the fused grouped encrypt
-/// uses (`_interleaved8`, per sample across all eight lanes).
+/// same per-sample kernel (`_bulk`) and the 8-lane table scan (`_avx2`
+/// where the host has it — otherwise the bit-identical scalar kernel).
 fn bench_sampler<R: Reducer>(
     snap: &mut Snapshot,
     pmat: &ProbabilityMatrix,
@@ -227,22 +208,6 @@ fn bench_sampler<R: Reducer>(
         format!("sample_ct_{label}_avx2"),
         vector / n as f64,
     ));
-
-    let mut wide = vec![0u32; 8 * n];
-    let fused = time_ns(
-        || {
-            let mut sources: [BufferedBitSource<SplitMix64>; 8] = std::array::from_fn(|j| {
-                BufferedBitSource::buffered(SplitMix64::new(0x5EED ^ ((j as u64) << 56)))
-            });
-            ct.sample_interleaved8_into(&r, &mut sources, &mut wide);
-            std::hint::black_box(&wide);
-        },
-        reps / 4,
-    );
-    snap.push(SnapshotEntry::ns(
-        format!("sample_ct_{label}_interleaved8"),
-        fused / (8 * n) as f64,
-    ));
 }
 
 /// Scheme-layer arms (encrypt/decrypt) for one context; `label` as in
@@ -276,44 +241,6 @@ fn bench_scheme(snap: &mut Snapshot, ctx: &RlweContext, label: &str, scheme_reps
     snap.push(SnapshotEntry::ns(format!("decrypt_{label}"), dec));
 }
 
-/// Precompute-ablation arms on one context: encryption through the
-/// per-key Shoup tables (`_prepared`) and through the eight-way
-/// interleaved group path (`_grouped8`, reported per message).
-fn bench_scheme_prepared(snap: &mut Snapshot, ctx: &RlweContext, label: &str, scheme_reps: u32) {
-    let mut rng = HashDrbg::new([7u8; 32]);
-    let (pk, _) = ctx.generate_keypair(&mut rng).expect("keygen");
-    let prepared = ctx.prepare_public_key(&pk).expect("prepare");
-    let msg = vec![0xA5u8; ctx.params().message_bytes()];
-    let mut scratch = ctx.new_scratch();
-    let mut ct = ctx.empty_ciphertext();
-
-    let enc = time_ns(
-        || {
-            ctx.encrypt_prepared_into(&prepared, &msg, &mut rng, &mut ct, &mut scratch)
-                .expect("encrypt");
-        },
-        scheme_reps,
-    );
-    snap.push(SnapshotEntry::ns(format!("encrypt_{label}_prepared"), enc));
-
-    let msgs: Vec<&[u8]> = (0..8).map(|_| msg.as_slice()).collect();
-    let mut cts: Vec<_> = (0..8).map(|_| ctx.empty_ciphertext()).collect();
-    let mut rngs: Vec<HashDrbg> = (0..8)
-        .map(|i| HashDrbg::for_stream(&[7u8; 32], i))
-        .collect();
-    let grp = time_ns(
-        || {
-            ctx.encrypt_group_into(&prepared, &msgs, &mut rngs, &mut cts, &mut scratch)
-                .expect("group encrypt");
-        },
-        scheme_reps / 4,
-    );
-    snap.push(SnapshotEntry::ns(
-        format!("encrypt_{label}_grouped8"),
-        grp / 8.0,
-    ));
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -344,7 +271,7 @@ fn main() {
     let p2_gen = NttPlan::new(512, 12289).expect("paper ring");
     bench_ntt_plan(&mut snap, &p2_gen, "p2_n512_generic", ntt_reps);
 
-    // --- Vector backend: AVX2 single-poly and interleaved-8 arms ---------
+    // --- Vector backend: AVX2 forward/inverse arms -----------------------
     println!(
         "(avx2 host: {})",
         if rlwe_ntt::avx2::available() {
@@ -356,14 +283,14 @@ fn main() {
     bench_ntt_avx2(&mut snap, &p1, "p1_n256", ntt_reps);
     bench_ntt_avx2(&mut snap, &p2, "p2_n512", ntt_reps);
 
-    // --- Sampler layer: CT-CDT rung ablation (scalar / bulk / avx2 /
-    // fused-interleaved), ns per sample over one ring-sized fill --------
+    // --- Sampler layer: CT-CDT rung ablation (scalar / bulk / avx2), ns
+    // per sample over one ring-sized fill ------------------------------
     println!(
         "(sampler avx2: {})",
         if rlwe_sampler::avx2::available() {
             "yes"
         } else {
-            "no — the _avx2/_interleaved8 arms measure the scalar kernel"
+            "no — the _avx2 arms measure the scalar kernel"
         }
     );
     let pmat1 = ProbabilityMatrix::paper_p1().expect("paper table");
@@ -394,15 +321,13 @@ fn main() {
             &format!("{label}_generic"),
             scheme_reps,
         );
-        // Ablation arms: the AVX2-backend context (headline encrypt
-        // through the vector transforms), then the per-key precompute
-        // and the interleaved group path on top of it.
+        // Ablation arm: the AVX2-backend context (headline encrypt
+        // through the vector transforms).
         let avx2_ctx = RlweContext::builder(set)
             .ntt_backend(NttBackend::Avx2)
             .build()
             .expect("named set");
         bench_scheme(&mut snap, &avx2_ctx, &format!("{label}_avx2"), scheme_reps);
-        bench_scheme_prepared(&mut snap, &avx2_ctx, label, scheme_reps);
     }
 
     for e in snap.entries() {

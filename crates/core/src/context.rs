@@ -19,19 +19,16 @@
 //! equivalence tests in `rlwe-ntt` enforce it).
 
 use rand::RngCore;
-use rlwe_ntt::{packed, parallel, pointwise, swar, AnyNttPlan, NttPlan, PolyScratch};
+use rlwe_ntt::{parallel, pointwise, AnyNttPlan, NttPlan, PolyScratch};
 use rlwe_sampler::ct::CtCdtSampler;
 use rlwe_sampler::random::{BitSource, BufferedBitSource, WordSource};
 use rlwe_sampler::{KnuthYao, ProbabilityMatrix};
 use rlwe_zq::{Reducer, ReducerKind};
 
-use crate::encode::{
-    decode_message_into, encode_message_add_assign, encode_message_add_assign_strided,
-};
+use crate::encode::{decode_message_into, encode_message_add_assign};
 use crate::keys::{Ciphertext, PublicKey, SecretKey};
 use crate::params::{ParamSet, Params};
 use crate::poly::{Ntt, Poly};
-use crate::prepared::PreparedPublicKey;
 use crate::RlweError;
 
 /// Adapter turning any [`rand::RngCore`] into the sampler's word source.
@@ -60,21 +57,17 @@ impl<R: RngCore + ?Sized> WordSource for RngWords<'_, R> {
 
 /// Which NTT implementation the context routes transforms through.
 ///
-/// All three are bit-for-bit equivalent (see `crates/ntt/tests/backends.rs`);
-/// they differ only in data layout and therefore speed per platform.
+/// Both are bit-for-bit equivalent (see `crates/ntt/tests/avx2.rs`); they
+/// differ only in speed per platform. The paper's §III-D packed layout
+/// ([`rlwe_ntt::packed`], [`rlwe_ntt::parallel::forward3_packed`]) is kept
+/// as a kernel with its own tests and bench, not as a context option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum NttBackend {
-    /// The scalar in-place reference transform ([`NttPlan::forward`]).
+    /// The scalar in-place reference transform ([`NttPlan::forward`]) —
+    /// the ground truth every other path is tested against.
     #[default]
     Reference,
-    /// Two coefficients per 32-bit word, §III-D of the paper
-    /// ([`rlwe_ntt::packed`]).
-    Packed,
-    /// Four 16-bit lanes per 64-bit word, SIMD-within-a-register
-    /// ([`rlwe_ntt::swar`]). Forward only; the inverse falls back to the
-    /// reference transform. Rings with `n < 8` also fall back.
-    Swar,
     /// Eight 32-bit lanes per AVX2 vector ([`rlwe_ntt::avx2`]). Selects
     /// the explicit `std::arch` kernels when the host supports AVX2
     /// (runtime-detected at plan construction) and falls back to the
@@ -88,8 +81,6 @@ impl NttBackend {
     pub fn label(self) -> &'static str {
         match self {
             NttBackend::Reference => "reference",
-            NttBackend::Packed => "packed",
-            NttBackend::Swar => "swar",
             NttBackend::Avx2 => "avx2",
         }
     }
@@ -266,10 +257,10 @@ pub enum ReducerPreference {
 ///
 /// # fn main() -> Result<(), rlwe_core::RlweError> {
 /// let ctx = RlweContext::builder(ParamSet::P1)
-///     .ntt_backend(NttBackend::Packed)
+///     .ntt_backend(NttBackend::Avx2)
 ///     .sampler(SamplerKind::Lut)
 ///     .build()?;
-/// assert_eq!(ctx.backend(), NttBackend::Packed);
+/// assert_eq!(ctx.backend(), NttBackend::Avx2);
 /// # Ok(())
 /// # }
 /// ```
@@ -325,29 +316,7 @@ impl RlweContextBuilder {
     /// * [`RlweError::Ntt`] if `q` is not an NTT-friendly prime for `n`.
     /// * [`RlweError::Sampler`] if the Gaussian tables cannot meet the
     ///   2⁻⁹⁰ statistical-distance bound.
-    /// * [`RlweError::Malformed`] if the modulus is too wide for the
-    ///   selected backend's lane layout (the halfword-packed
-    ///   [`NttBackend::Packed`]/[`NttBackend::Swar`] lazy butterflies
-    ///   need `4q < 2¹⁶`, i.e. `q < 2¹⁴`).
     pub fn build(self) -> Result<RlweContext, RlweError> {
-        // The lane layouts assume narrow coefficients (the paper's §III-C
-        // observation) with headroom for the [0, 4q) lazy domain; past
-        // these widths lanes would silently overlap.
-        let q = self.params.q();
-        let max_q = match self.backend {
-            // NttPlan::new enforces q < 2³⁰; the AVX2 lanes are full
-            // 32-bit words, so they share the reference bound.
-            NttBackend::Reference | NttBackend::Avx2 => u32::MAX,
-            NttBackend::Packed | NttBackend::Swar => rlwe_ntt::packed::MAX_PACKED_Q,
-        };
-        if q >= max_q {
-            return Err(RlweError::Malformed {
-                reason: format!(
-                    "modulus {q} is too wide for the {:?} NTT backend (needs q < {max_q})",
-                    self.backend
-                ),
-            });
-        }
         let plan = NttPlan::new(self.params.n(), self.params.q())?;
         // Dispatch the reducer instantiation exactly once, here: every
         // hot path below routes through `dispatch`, so the P1/P2 kernels
@@ -619,138 +588,26 @@ impl RlweContext {
         }
     }
 
-    /// Fills an 8-way interleaved wide buffer (`wide[8*i + j]` =
-    /// coefficient `i` of lane `j`) with error residues, each lane
-    /// drawing exclusively from its own bit source. Per-lane draw order
-    /// is identical to [`Self::sample_error_into`] on that lane's
-    /// source, so the fused grouped encrypt stays bit-compatible with
-    /// eight sequential encrypts.
-    fn sample_group_interleaved<R: Reducer, B: BitSource>(
-        &self,
-        r: &R,
-        sources: &mut [B; 8],
-        wide: &mut [u32],
-    ) {
-        self.obs.sampler_draws.add(wide.len() as u64);
-        self.obs.sampler_dispatch.add(1);
-        match self.sampler {
-            SamplerKind::Lut => self.ky.sample_interleaved8_reduced_into(r, sources, wide),
-            SamplerKind::Basic => {
-                // Lane-major like the Lut rung: each lane's run keeps
-                // its own branch history warm (see the sampler crate's
-                // `sample_interleaved8_reduced_into`).
-                for (j, src) in sources.iter_mut().enumerate() {
-                    for c in wide.iter_mut().skip(j).step_by(8) {
-                        *c = self.ky.sample_basic(src).to_zq_with(r);
-                    }
-                }
-            }
-            SamplerKind::Lut1 => {
-                for (j, src) in sources.iter_mut().enumerate() {
-                    for c in wide.iter_mut().skip(j).step_by(8) {
-                        *c = self.ky.sample_lut1(src).to_zq_with(r);
-                    }
-                }
-            }
-            SamplerKind::CtCdt => {
-                let ct = self
-                    .ct
-                    .as_ref()
-                    // panic-allow(builder installs the CT sampler whenever the rung is CtCdt)
-                    .expect("CtCdt contexts always carry the CT sampler");
-                ct.sample_interleaved8_into(r, sources, wide);
-            }
-        }
-    }
-
     /// In-place forward NTT through the configured backend, on the
     /// dispatched plan.
-    fn ntt_forward<R: Reducer>(&self, plan: &NttPlan<R>, a: &mut [u32], scratch: &mut PolyScratch) {
+    fn ntt_forward<R: Reducer>(&self, plan: &NttPlan<R>, a: &mut [u32]) {
         match self.backend {
             NttBackend::Reference => plan.forward(a),
             NttBackend::Avx2 => plan.forward_avx2(a),
-            NttBackend::Packed => {
-                let mut w = scratch.take();
-                let half = a.len() / 2;
-                for (i, word) in w[..half].iter_mut().enumerate() {
-                    *word = rlwe_zq::packed::pack(a[2 * i], a[2 * i + 1]);
-                }
-                packed::forward_packed(plan, &mut w[..half]);
-                for (i, &word) in w[..half].iter().enumerate() {
-                    let (lo, hi) = rlwe_zq::packed::unpack(word);
-                    a[2 * i] = lo;
-                    a[2 * i + 1] = hi;
-                }
-                scratch.put(w);
-            }
-            NttBackend::Swar => {
-                if a.len() < 8 {
-                    plan.forward(a);
-                    return;
-                }
-                let mut w = scratch.take64();
-                for (i, word) in w.iter_mut().enumerate() {
-                    *word = swar::pack4([a[4 * i], a[4 * i + 1], a[4 * i + 2], a[4 * i + 3]]);
-                }
-                swar::forward_swar(plan, &mut w);
-                for (i, &word) in w.iter().enumerate() {
-                    let lanes = swar::unpack4(word);
-                    a[4 * i..4 * i + 4].copy_from_slice(&lanes);
-                }
-                scratch.put64(w);
-            }
         }
     }
 
     /// Three forward NTTs — the paper's parallel NTT: one fused loop nest
-    /// on the reference backend, the fused *packed* loop nest (the
-    /// configuration Table I actually benchmarks) on the packed backend,
-    /// per-polynomial on SWAR.
-    fn ntt_forward3<R: Reducer>(
-        &self,
-        plan: &NttPlan<R>,
-        polys: [&mut [u32]; 3],
-        scratch: &mut PolyScratch,
-    ) {
+    /// on the reference backend, three vectorized transforms on AVX2
+    /// (twiddle loads are amortized across eight in-register lanes
+    /// instead of across the three polynomials, so no fused loop nest is
+    /// needed).
+    fn ntt_forward3<R: Reducer>(&self, plan: &NttPlan<R>, polys: [&mut [u32]; 3]) {
         match self.backend {
             NttBackend::Reference => parallel::forward3(plan, polys),
-            // Three vectorized transforms; twiddle loads are amortized
-            // across eight in-register lanes instead of across the three
-            // polynomials, so no fused loop nest is needed.
             NttBackend::Avx2 => {
                 for p in polys {
                     plan.forward_avx2(p);
-                }
-            }
-            NttBackend::Packed => {
-                let half = self.params.n() / 2;
-                let mut words = [scratch.take(), scratch.take(), scratch.take()];
-                for (w, p) in words.iter_mut().zip(polys.iter()) {
-                    for (i, word) in w[..half].iter_mut().enumerate() {
-                        *word = rlwe_zq::packed::pack(p[2 * i], p[2 * i + 1]);
-                    }
-                }
-                {
-                    let [wa, wb, wc] = &mut words;
-                    parallel::forward3_packed(
-                        plan,
-                        [&mut wa[..half], &mut wb[..half], &mut wc[..half]],
-                    );
-                }
-                for (w, p) in words.iter().zip(polys) {
-                    for (i, &word) in w[..half].iter().enumerate() {
-                        let (lo, hi) = rlwe_zq::packed::unpack(word);
-                        p[2 * i] = lo;
-                        p[2 * i + 1] = hi;
-                    }
-                }
-                for w in words {
-                    scratch.put(w);
-                }
-            }
-            NttBackend::Swar => {
-                for p in polys {
-                    self.ntt_forward(plan, p, scratch);
                 }
             }
         }
@@ -758,26 +615,10 @@ impl RlweContext {
 
     /// In-place inverse NTT through the configured backend, on the
     /// dispatched plan.
-    fn ntt_inverse<R: Reducer>(&self, plan: &NttPlan<R>, a: &mut [u32], scratch: &mut PolyScratch) {
+    fn ntt_inverse<R: Reducer>(&self, plan: &NttPlan<R>, a: &mut [u32]) {
         match self.backend {
-            // SWAR provides a forward transform only; its inverse is the
-            // reference Gentleman-Sande loop.
-            NttBackend::Reference | NttBackend::Swar => plan.inverse(a),
+            NttBackend::Reference => plan.inverse(a),
             NttBackend::Avx2 => plan.inverse_avx2(a),
-            NttBackend::Packed => {
-                let mut w = scratch.take();
-                let half = a.len() / 2;
-                for (i, word) in w[..half].iter_mut().enumerate() {
-                    *word = rlwe_zq::packed::pack(a[2 * i], a[2 * i + 1]);
-                }
-                packed::inverse_packed(plan, &mut w[..half]);
-                for (i, &word) in w[..half].iter().enumerate() {
-                    let (lo, hi) = rlwe_zq::packed::unpack(word);
-                    a[2 * i] = lo;
-                    a[2 * i + 1] = hi;
-                }
-                scratch.put(w);
-            }
         }
     }
 
@@ -903,8 +744,8 @@ impl RlweContext {
         let mut r1 = scratch.take();
         self.sample_error_into(plan.reducer(), &mut bits, &mut r1);
         self.sample_error_into(plan.reducer(), &mut bits, sk.r2_hat.as_mut_slice());
-        self.ntt_forward(plan, &mut r1, scratch);
-        self.ntt_forward(plan, sk.r2_hat.as_mut_slice(), scratch);
+        self.ntt_forward(plan, &mut r1);
+        self.ntt_forward(plan, sk.r2_hat.as_mut_slice());
         // p̃ = r̃₁ − ã ∘ r̃₂.
         let mut ar2 = scratch.take();
         pointwise::mul_into(
@@ -1040,7 +881,7 @@ impl RlweContext {
         }
         {
             let _span = self.obs.sp_enc_ntt.enter();
-            self.ntt_forward3(plan, [&mut e1, &mut e2, &mut e3m], scratch);
+            self.ntt_forward3(plan, [&mut e1, &mut e2, &mut e3m]);
         }
         let _span = self.obs.sp_enc_pointwise.enter();
         // c̃₁ = ã∘ẽ₁ + ẽ₂ ; c̃₂ = p̃∘ẽ₁ + NTT(e₃ + m̄).
@@ -1064,277 +905,6 @@ impl RlweContext {
         scratch.put(e1);
         scratch.put(e2);
         scratch.put(e3m);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Prepared-key encryption
-    // ------------------------------------------------------------------
-
-    /// Precomputes the per-key NTT-domain Shoup tables for `pk` — the
-    /// one-time cost that [`RlweContext::encrypt_prepared_into`] and
-    /// [`RlweContext::encrypt_group_into`] amortize across every
-    /// subsequent encrypt under the same key (see [`PreparedPublicKey`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::ParamMismatch`] if the key belongs to another set.
-    pub fn prepare_public_key(&self, pk: &PublicKey) -> Result<PreparedPublicKey, RlweError> {
-        if pk.params != self.params {
-            return Err(RlweError::ParamMismatch);
-        }
-        Ok(PreparedPublicKey::build(pk))
-    }
-
-    /// Allocation-free encryption through a prepared key: identical to
-    /// [`RlweContext::encrypt_into`] for the same RNG state — bit for bit
-    /// — but the two key-dependent pointwise products run on the key's
-    /// precomputed Shoup tables instead of re-deriving Barrett reductions
-    /// per coefficient.
-    ///
-    /// # Errors
-    ///
-    /// See [`RlweContext::encrypt_into`].
-    pub fn encrypt_prepared_into<R: RngCore + ?Sized>(
-        &self,
-        prepared: &PreparedPublicKey,
-        msg: &[u8],
-        rng: &mut R,
-        ct: &mut Ciphertext,
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        if prepared.params != self.params {
-            return Err(RlweError::ParamMismatch);
-        }
-        if msg.len() != self.params.message_bytes() {
-            return Err(RlweError::MessageLength {
-                got: msg.len(),
-                expected: self.params.message_bytes(),
-            });
-        }
-        self.check_scratch(scratch)?;
-        with_dispatch!(self, |p| self
-            .encrypt_prepared_body(p, prepared, msg, rng, ct, scratch))
-    }
-
-    /// The monomorphized prepared-key encryption body. Sampling, the
-    /// encode and the triple forward NTT are exactly
-    /// [`RlweContext::encrypt_into`]'s; only the pointwise tail differs,
-    /// and its canonical outputs make the paths bit-identical.
-    fn encrypt_prepared_body<RR: Reducer, R: RngCore + ?Sized>(
-        &self,
-        plan: &NttPlan<RR>,
-        prepared: &PreparedPublicKey,
-        msg: &[u8],
-        rng: &mut R,
-        ct: &mut Ciphertext,
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        let n = self.params.n();
-        let q = self.params.q();
-        let modulus = self.plan.modulus();
-        let mut bits = BufferedBitSource::buffered(RngWords(rng));
-        let mut e1 = scratch.take();
-        let mut e2 = scratch.take();
-        let mut e3m = scratch.take();
-        {
-            let _span = self.obs.sp_enc_sample.enter();
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e1);
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e2);
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
-        }
-        {
-            let _span = self.obs.sp_enc_encode.enter();
-            encode_message_add_assign(msg, &mut e3m, q);
-        }
-        {
-            let _span = self.obs.sp_enc_ntt.enter();
-            self.ntt_forward3(plan, [&mut e1, &mut e2, &mut e3m], scratch);
-        }
-        let _span = self.obs.sp_enc_pointwise.enter();
-        // c̃₁ = ã∘ẽ₁ + ẽ₂ ; c̃₂ = p̃∘ẽ₁ + NTT(e₃ + m̄) — fused Shoup
-        // multiply-adds against the per-key tables, written straight
-        // into the ciphertext storage.
-        ct.params = self.params;
-        ct.c1_hat.reset(n, *modulus);
-        ct.c2_hat.reset(n, *modulus);
-        rlwe_zq::shoup::mul_shoup_add_slice(
-            &e1,
-            &prepared.a_val,
-            &prepared.a_comp,
-            &e2,
-            ct.c1_hat.as_mut_slice(),
-            q,
-        );
-        rlwe_zq::shoup::mul_shoup_add_slice(
-            &e1,
-            &prepared.p_val,
-            &prepared.p_comp,
-            &e3m,
-            ct.c2_hat.as_mut_slice(),
-            q,
-        );
-        scratch.put(e1);
-        scratch.put(e2);
-        scratch.put(e3m);
-        Ok(())
-    }
-
-    /// Encrypts up to eight messages under one prepared key with
-    /// **interleaved** forward transforms: the group's error polynomials
-    /// are scattered into 8-lane-interleaved buffers and transformed
-    /// together ([`rlwe_ntt::avx2`]), so each twiddle factor is loaded
-    /// once per eight polynomials instead of once per polynomial.
-    /// `rlwe-engine`'s batch fan-out feeds its per-worker chunks through
-    /// this in groups of eight.
-    ///
-    /// Each message draws from its own RNG, in the same order as
-    /// [`RlweContext::encrypt_into`] — so for the same per-item RNG
-    /// states the group output is bit-identical to per-item encrypts
-    /// (partial groups simply leave the trailing lanes zero).
-    ///
-    /// # Errors
-    ///
-    /// * [`RlweError::Malformed`] if the group is empty, larger than 8,
-    ///   or `msgs`/`rngs`/`cts` lengths disagree.
-    /// * Otherwise as [`RlweContext::encrypt_prepared_into`].
-    pub fn encrypt_group_into<R: RngCore>(
-        &self,
-        prepared: &PreparedPublicKey,
-        msgs: &[&[u8]],
-        rngs: &mut [R],
-        cts: &mut [Ciphertext],
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        if prepared.params != self.params {
-            return Err(RlweError::ParamMismatch);
-        }
-        let k = msgs.len();
-        if k == 0 || k > 8 || rngs.len() != k || cts.len() != k {
-            return Err(RlweError::Malformed {
-                reason: format!(
-                    "encrypt group wants 1..=8 equal-length slices, got msgs={k} rngs={} cts={}",
-                    rngs.len(),
-                    cts.len()
-                ),
-            });
-        }
-        for msg in msgs {
-            if msg.len() != self.params.message_bytes() {
-                return Err(RlweError::MessageLength {
-                    got: msg.len(),
-                    expected: self.params.message_bytes(),
-                });
-            }
-        }
-        self.check_scratch(scratch)?;
-        with_dispatch!(self, |p| self
-            .encrypt_group_body(p, prepared, msgs, rngs, cts, scratch))
-    }
-
-    /// The monomorphized group-encryption body: per-item sampling and
-    /// encoding (own RNG each, same draw order as the single-message
-    /// path), three interleaved forward transforms over the whole group,
-    /// then per-item prepared pointwise tails.
-    fn encrypt_group_body<RR: Reducer, R: RngCore>(
-        &self,
-        plan: &NttPlan<RR>,
-        prepared: &PreparedPublicKey,
-        msgs: &[&[u8]],
-        rngs: &mut [R],
-        cts: &mut [Ciphertext],
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        let n = self.params.n();
-        let q = self.params.q();
-        let modulus = self.plan.modulus();
-        let k = msgs.len();
-        let mut w1 = scratch.take_wide();
-        let mut w2 = scratch.take_wide();
-        let mut w3 = scratch.take_wide();
-        if k < 8 {
-            // Unused lanes must hold valid (zero) coefficients: the
-            // transform runs on all eight lanes unconditionally.
-            w1.fill(0);
-            w2.fill(0);
-            w3.fill(0);
-        }
-        let mut e1 = scratch.take();
-        let mut e2 = scratch.take();
-        let mut e3m = scratch.take();
-        {
-            let _span = self.obs.sp_enc_sample.enter();
-            if k == 8 {
-                // Fused full-group path: sample all eight lanes directly
-                // into the `8i + j` interleaved layout the transform
-                // wants — no per-lane scatter. Each lane draws only from
-                // its own bit source in the same order as the scatter
-                // path (e1 coefficients, then e2, then e3m), so grouped
-                // output bytes stay identical to sequential encrypts.
-                // panic-allow(the k == 8 branch guard makes the conversion infallible)
-                let rngs8: &mut [R; 8] = rngs.try_into().expect("k == 8");
-                let mut sources = rngs8
-                    .each_mut()
-                    .map(|rng| BufferedBitSource::buffered(RngWords(rng)));
-                self.sample_group_interleaved(plan.reducer(), &mut sources, &mut w1);
-                self.sample_group_interleaved(plan.reducer(), &mut sources, &mut w2);
-                self.sample_group_interleaved(plan.reducer(), &mut sources, &mut w3);
-                for (lane, msg) in msgs.iter().enumerate() {
-                    encode_message_add_assign_strided(msg, &mut w3, lane, q);
-                }
-            } else {
-                for (lane, (msg, rng)) in msgs.iter().zip(rngs.iter_mut()).enumerate() {
-                    let mut bits = BufferedBitSource::buffered(RngWords(rng));
-                    self.sample_error_into(plan.reducer(), &mut bits, &mut e1);
-                    self.sample_error_into(plan.reducer(), &mut bits, &mut e2);
-                    self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
-                    encode_message_add_assign(msg, &mut e3m, q);
-                    for (wide, poly) in [(&mut w1, &e1), (&mut w2, &e2), (&mut w3, &e3m)] {
-                        for (dst, &src) in wide.iter_mut().skip(lane).step_by(8).zip(poly.iter()) {
-                            *dst = src;
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let _span = self.obs.sp_enc_ntt.enter();
-            self.dispatch.record_interleaved_dispatch();
-            plan.forward_interleaved8(&mut w1);
-            plan.forward_interleaved8(&mut w2);
-            plan.forward_interleaved8(&mut w3);
-        }
-        let _span = self.obs.sp_enc_pointwise.enter();
-        for (lane, ct) in cts.iter_mut().enumerate() {
-            rlwe_ntt::avx2::deinterleave8_lane(&w1, lane, &mut e1);
-            rlwe_ntt::avx2::deinterleave8_lane(&w2, lane, &mut e2);
-            rlwe_ntt::avx2::deinterleave8_lane(&w3, lane, &mut e3m);
-            ct.params = self.params;
-            ct.c1_hat.reset(n, *modulus);
-            ct.c2_hat.reset(n, *modulus);
-            rlwe_zq::shoup::mul_shoup_add_slice(
-                &e1,
-                &prepared.a_val,
-                &prepared.a_comp,
-                &e2,
-                ct.c1_hat.as_mut_slice(),
-                q,
-            );
-            rlwe_zq::shoup::mul_shoup_add_slice(
-                &e1,
-                &prepared.p_val,
-                &prepared.p_comp,
-                &e3m,
-                ct.c2_hat.as_mut_slice(),
-                q,
-            );
-        }
-        scratch.put(e1);
-        scratch.put(e2);
-        scratch.put(e3m);
-        scratch.put_wide(w1);
-        scratch.put_wide(w2);
-        scratch.put_wide(w3);
         Ok(())
     }
 
@@ -1394,7 +964,7 @@ impl RlweContext {
             }
             {
                 let _span = self.obs.sp_dec_ntt.enter();
-                self.ntt_inverse(p, &mut m, scratch);
+                self.ntt_inverse(p, &mut m);
             }
             {
                 let _span = self.obs.sp_dec_decode.enter();
@@ -1427,8 +997,7 @@ impl RlweContext {
                 p.reducer(),
                 // ct-allow(decode errors depend on ciphertext structure, not the message)
             )?;
-            let mut scratch = self.new_scratch();
-            self.ntt_inverse(p, &mut m, &mut scratch);
+            self.ntt_inverse(p, &mut m);
             Ok(m)
         })
     }
@@ -1667,32 +1236,49 @@ mod tests {
 
     #[test]
     fn all_backends_agree_bit_for_bit() {
-        // The backend changes the data layout, never the math: the same
-        // seed must produce the same keys and ciphertext bytes.
-        let mut fixtures: Vec<Vec<u8>> = Vec::new();
-        for backend in [
-            NttBackend::Reference,
-            NttBackend::Packed,
-            NttBackend::Swar,
-            NttBackend::Avx2,
-        ] {
-            let ctx = RlweContext::builder(ParamSet::P1)
-                .ntt_backend(backend)
-                .build()
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(45);
-            let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-            let msg = vec![0x77u8; 32];
-            let ct = ctx.encrypt(&pk, &msg, &mut rng).unwrap();
-            assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg, "{backend:?}");
-            let mut wire = pk.to_bytes().unwrap();
-            wire.extend(sk.to_bytes().unwrap());
-            wire.extend(ct.to_bytes().unwrap());
-            fixtures.push(wire);
+        // The backend changes the kernel, never the math: the same seed
+        // must produce the same keys, ciphertext bytes and CCA KEM
+        // outputs (accepted and implicitly rejected) on every parameter
+        // set and sampler rung.
+        for set in [ParamSet::P1, ParamSet::P2] {
+            for sampler in [SamplerKind::Lut, SamplerKind::CtCdt] {
+                let fixtures: Vec<Vec<u8>> = [NttBackend::Reference, NttBackend::Avx2]
+                    .into_iter()
+                    .map(|backend| {
+                        let ctx = RlweContext::builder(set)
+                            .ntt_backend(backend)
+                            .sampler(sampler)
+                            .build()
+                            .unwrap();
+                        let tag = format!("{set} {sampler:?} {backend:?}");
+                        let mut rng = StdRng::seed_from_u64(45);
+                        let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
+                        let msg = vec![0x77u8; ctx.params().message_bytes()];
+                        let ct = ctx.encrypt(&pk, &msg, &mut rng).unwrap();
+                        assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg, "{tag}");
+                        let (kem_ct, ss) = ctx.encapsulate_cca(&pk, &mut rng).unwrap();
+                        let accepted = ctx.decapsulate_cca(&sk, &pk, &kem_ct).unwrap();
+                        assert_eq!(accepted, ss, "{tag}: CCA round trip");
+                        let mut mauled = kem_ct.clone();
+                        let c = &mut mauled.c1_hat.as_mut_slice()[0];
+                        *c = (*c + 1) % ctx.params().q();
+                        let rejected = ctx.decapsulate_cca(&sk, &pk, &mauled).unwrap();
+                        assert_ne!(rejected, ss, "{tag}: mauled ciphertext accepted");
+                        let mut wire = pk.to_bytes().unwrap();
+                        wire.extend(sk.to_bytes().unwrap());
+                        wire.extend(ct.to_bytes().unwrap());
+                        wire.extend(kem_ct.to_bytes().unwrap());
+                        wire.extend(ss.as_bytes());
+                        wire.extend(rejected.as_bytes());
+                        wire
+                    })
+                    .collect();
+                assert_eq!(
+                    fixtures[0], fixtures[1],
+                    "{set} {sampler:?}: avx2 backend diverged"
+                );
+            }
         }
-        assert_eq!(fixtures[0], fixtures[1], "packed backend diverged");
-        assert_eq!(fixtures[0], fixtures[2], "swar backend diverged");
-        assert_eq!(fixtures[0], fixtures[3], "avx2 backend diverged");
     }
 
     #[test]
@@ -1710,124 +1296,6 @@ mod tests {
         let msg = vec![0x2Du8; ctx.params().message_bytes()];
         let ct = ctx.encrypt(&pk, &msg, &mut rng).unwrap();
         assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg);
-    }
-
-    #[test]
-    fn prepared_key_encrypt_is_bit_identical_to_encrypt_into() {
-        for set in [ParamSet::P1, ParamSet::P2] {
-            let ctx = RlweContext::new(set).unwrap();
-            let mut rng = StdRng::seed_from_u64(51);
-            let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-            let prepared = ctx.prepare_public_key(&pk).unwrap();
-            let msg = vec![0x9Eu8; ctx.params().message_bytes()];
-            let mut scratch = ctx.new_scratch();
-            let mut rng_a = StdRng::seed_from_u64(52);
-            let mut rng_b = StdRng::seed_from_u64(52);
-            let mut ct_a = ctx.empty_ciphertext();
-            let mut ct_b = ctx.empty_ciphertext();
-            ctx.encrypt_into(&pk, &msg, &mut rng_a, &mut ct_a, &mut scratch)
-                .unwrap();
-            ctx.encrypt_prepared_into(&prepared, &msg, &mut rng_b, &mut ct_b, &mut scratch)
-                .unwrap();
-            assert_eq!(ct_a, ct_b, "{set}: prepared path diverged");
-            assert_eq!(ctx.decrypt(&sk, &ct_b).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn group_encrypt_is_bit_identical_to_per_item_encrypts() {
-        for (set, k) in [(ParamSet::P1, 8usize), (ParamSet::P2, 8), (ParamSet::P1, 3)] {
-            let ctx = RlweContext::new(set).unwrap();
-            let mut rng = StdRng::seed_from_u64(53);
-            let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-            let prepared = ctx.prepare_public_key(&pk).unwrap();
-            let msgs: Vec<Vec<u8>> = (0..k)
-                .map(|i| vec![0x11u8.wrapping_mul(i as u8 + 1); ctx.params().message_bytes()])
-                .collect();
-            let msg_refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-            let mut scratch = ctx.new_scratch();
-            // Per-item references through the plain path.
-            let mut want = Vec::new();
-            for (i, msg) in msgs.iter().enumerate() {
-                let mut rng_i = StdRng::seed_from_u64(100 + i as u64);
-                let mut ct = ctx.empty_ciphertext();
-                ctx.encrypt_into(&pk, msg, &mut rng_i, &mut ct, &mut scratch)
-                    .unwrap();
-                want.push(ct);
-            }
-            // The same RNG states through the grouped path.
-            let mut rngs: Vec<StdRng> = (0..k)
-                .map(|i| StdRng::seed_from_u64(100 + i as u64))
-                .collect();
-            let mut cts: Vec<Ciphertext> = (0..k).map(|_| ctx.empty_ciphertext()).collect();
-            ctx.encrypt_group_into(&prepared, &msg_refs, &mut rngs, &mut cts, &mut scratch)
-                .unwrap();
-            assert_eq!(cts, want, "{set} k={k}: grouped path diverged");
-            for (ct, msg) in cts.iter().zip(&msgs) {
-                assert_eq!(&ctx.decrypt(&sk, ct).unwrap(), msg);
-            }
-        }
-    }
-
-    #[test]
-    fn group_encrypt_validates_its_inputs() {
-        let ctx = ctx_p1();
-        let mut rng = StdRng::seed_from_u64(54);
-        let (pk, _) = ctx.generate_keypair(&mut rng).unwrap();
-        let prepared = ctx.prepare_public_key(&pk).unwrap();
-        let mut scratch = ctx.new_scratch();
-        let msg = vec![0u8; 32];
-        let mut rngs = vec![StdRng::seed_from_u64(0)];
-        let mut cts = vec![ctx.empty_ciphertext()];
-        // Empty group.
-        assert!(matches!(
-            ctx.encrypt_group_into(
-                &prepared,
-                &[],
-                &mut [] as &mut [StdRng],
-                &mut [],
-                &mut scratch
-            ),
-            Err(RlweError::Malformed { .. })
-        ));
-        // Mismatched slice lengths.
-        assert!(matches!(
-            ctx.encrypt_group_into(&prepared, &[&msg, &msg], &mut rngs, &mut cts, &mut scratch),
-            Err(RlweError::Malformed { .. })
-        ));
-        // Oversized group.
-        let nine: Vec<&[u8]> = (0..9).map(|_| msg.as_slice()).collect();
-        let mut rngs9: Vec<StdRng> = (0..9).map(StdRng::seed_from_u64).collect();
-        let mut cts9: Vec<Ciphertext> = (0..9).map(|_| ctx.empty_ciphertext()).collect();
-        assert!(matches!(
-            ctx.encrypt_group_into(&prepared, &nine, &mut rngs9, &mut cts9, &mut scratch),
-            Err(RlweError::Malformed { .. })
-        ));
-        // Wrong message length.
-        let short = vec![0u8; 31];
-        assert!(matches!(
-            ctx.encrypt_group_into(&prepared, &[&short], &mut rngs, &mut cts, &mut scratch),
-            Err(RlweError::MessageLength { .. })
-        ));
-    }
-
-    #[test]
-    fn builder_rejects_wide_moduli_for_lane_backends() {
-        // 65537 is an NTT-friendly prime for n = 2048, but its residues
-        // overflow the 16-bit lanes of the packed layout and the 15-bit
-        // headroom SWAR's carryless addition needs.
-        let params = Params::custom(2048, 65537, rlwe_sampler::GaussianSpec::p1());
-        for backend in [NttBackend::Packed, NttBackend::Swar] {
-            let err = RlweContextBuilder::with_params(params)
-                .ntt_backend(backend)
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, RlweError::Malformed { .. }), "{backend:?}");
-        }
-        assert!(RlweContextBuilder::with_params(params)
-            .ntt_backend(NttBackend::Reference)
-            .build()
-            .is_ok());
     }
 
     #[test]

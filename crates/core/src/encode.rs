@@ -60,34 +60,6 @@ pub fn encode_message_add_assign(msg: &[u8], coeffs: &mut [u32], q: u32) {
     }
 }
 
-/// [`encode_message_add_assign`] over one lane of an 8-way interleaved
-/// wide buffer: coefficient `i` of lane `lane` lives at `wide[8*i +
-/// lane]`. Used by the fused grouped encrypt path, which samples
-/// directly into the interleaved layout and therefore never has a
-/// contiguous per-lane `e₃` slice to encode into. Same masked-reduction
-/// arithmetic as the contiguous version — no control flow depends on
-/// the (secret) message bits.
-///
-/// # Panics
-///
-/// Panics if `lane >= 8` or `msg.len() * 8 * 8 != wide.len()`.
-pub fn encode_message_add_assign_strided(msg: &[u8], wide: &mut [u32], lane: usize, q: u32) {
-    assert!(lane < 8, "interleaved buffers hold eight lanes");
-    assert_eq!(
-        msg.len() * 8 * 8,
-        wide.len(),
-        "message must supply exactly n bits for an 8-lane wide buffer"
-    );
-    let half = q / 2;
-    for (i, c) in wide.iter_mut().skip(lane).step_by(8).enumerate() {
-        // panic-allow(i < wide.len()/8 = msg.len()*8, so i/8 < msg.len())
-        let bit = ((msg[i / 8] >> (i % 8)) & 1) as u32;
-        let s = *c + bit * half;
-        let ge_mask = (rlwe_zq::ct::ct_lt_u32(s, q) ^ 1).wrapping_neg();
-        *c = s - (q & ge_mask);
-    }
-}
-
 /// Decodes one noisy coefficient to a bit: `1` iff the value lies in
 /// `(q/4, 3q/4]` (closer to `q/2` than to `0 ≡ q`).
 ///
@@ -203,37 +175,6 @@ mod tests {
             .map(|(&a, &b)| rlwe_zq::add_mod(a, b, q))
             .collect();
         assert_eq!(fused, manual);
-    }
-
-    #[test]
-    fn strided_add_assign_matches_contiguous_per_lane() {
-        let q = 7681;
-        let n = 256;
-        // Distinct message and base coefficients per lane.
-        let msgs: Vec<Vec<u8>> = (0..8u8)
-            .map(|j| {
-                (0..32u8)
-                    .map(|i| i.wrapping_mul(91 + j) ^ (0x3C + j))
-                    .collect()
-            })
-            .collect();
-        let mut wide = vec![0u32; 8 * n];
-        for (i, c) in wide.iter_mut().enumerate() {
-            *c = ((i as u32) * 29 + 11) % q;
-        }
-        // Contiguous reference: gather each lane, encode, compare.
-        let mut expect = wide.clone();
-        for (lane, msg) in msgs.iter().enumerate() {
-            let mut lane_coeffs: Vec<u32> = expect.iter().skip(lane).step_by(8).copied().collect();
-            encode_message_add_assign(msg, &mut lane_coeffs, q);
-            for (dst, src) in expect.iter_mut().skip(lane).step_by(8).zip(lane_coeffs) {
-                *dst = src;
-            }
-        }
-        for (lane, msg) in msgs.iter().enumerate() {
-            encode_message_add_assign_strided(msg, &mut wide, lane, q);
-        }
-        assert_eq!(wide, expect);
     }
 
     #[test]

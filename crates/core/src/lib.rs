@@ -49,7 +49,6 @@ mod error;
 mod keys;
 mod params;
 mod poly;
-mod prepared;
 mod serialize;
 
 pub mod drbg;
@@ -62,13 +61,12 @@ pub use context::{
 };
 pub use encode::{
     decode_coefficient, decode_message, decode_message_into, encode_message,
-    encode_message_add_assign, encode_message_add_assign_strided,
+    encode_message_add_assign,
 };
 pub use error::RlweError;
 pub use keys::{Ciphertext, KeyPair, PublicKey, SecretKey};
 pub use params::{ParamSet, Params};
 pub use poly::{Coeff, Domain, Ntt, Poly};
-pub use prepared::PreparedPublicKey;
 pub use rlwe_ntt::PolyScratch;
 pub use rlwe_zq::ReducerKind;
 pub use serialize::{pack_coeffs, unpack_coeffs};

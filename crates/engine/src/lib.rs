@@ -53,10 +53,9 @@ pub mod session;
 
 pub use batch::{
     decap_batch, decap_cca_batch, decrypt_batch, decrypt_batch_into, default_workers, encap_batch,
-    encap_cca_batch, encrypt_batch, encrypt_batch_into, encrypt_batch_prepared_into, fan_out,
-    fan_out_into, fan_out_with, ENCRYPT_GROUP,
+    encap_cca_batch, encrypt_batch, encrypt_batch_into, fan_out, fan_out_into, fan_out_with,
 };
-pub use metrics::{EngineMetrics, LatencyHistogram, MetricsReport};
+pub use metrics::{EngineMetrics, MetricsReport};
 pub use pool::{global as global_pool, ContextConfig, ContextPool};
 pub use session::{Role, Session, SessionError, StreamReceiver, StreamSender};
 
@@ -64,33 +63,10 @@ use rand::RngCore;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::kem::SharedSecret;
 use rlwe_core::{
-    Ciphertext, NttBackend, ParamSet, PreparedPublicKey, PublicKey, RlweContext, RlweError,
-    SamplerKind, SecretKey,
+    Ciphertext, NttBackend, ParamSet, PublicKey, RlweContext, RlweError, SamplerKind, SecretKey,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Bound on the engine's per-key precompute cache: a serving engine
-/// typically encrypts under a handful of long-lived keys; past this many
-/// distinct keys the oldest entry is evicted (FIFO).
-const PREPARED_CACHE_CAP: usize = 4;
-
-/// Content fingerprint of a public key for the prepared-key cache:
-/// SHA-256 over the parameter identity and both NTT-domain polynomials'
-/// little-endian coefficient bytes. Byte-identical keys share a cache
-/// entry; any coefficient difference misses (see DESIGN.md §11).
-fn pk_fingerprint(pk: &PublicKey) -> [u8; 32] {
-    let mut h = rlwe_hash::Sha256::new();
-    let params = pk.params();
-    h.update(&(params.n() as u64).to_le_bytes());
-    h.update(&params.q().to_le_bytes());
-    for poly in [pk.a_poly(), pk.p_poly()] {
-        for &c in poly.as_slice() {
-            h.update(&c.to_le_bytes());
-        }
-    }
-    h.finalize()
-}
 
 /// Configures an [`Engine`].
 #[derive(Debug)]
@@ -155,7 +131,6 @@ impl EngineBuilder {
             ctx,
             workers: self.workers.unwrap_or_else(default_workers),
             metrics,
-            prepared: Mutex::new(Vec::new()),
         })
     }
 }
@@ -170,9 +145,6 @@ pub struct Engine {
     ctx: Arc<RlweContext>,
     workers: usize,
     metrics: Arc<EngineMetrics>,
-    /// Per-key NTT-domain precompute, keyed by [`pk_fingerprint`] —
-    /// bounded FIFO of [`PREPARED_CACHE_CAP`] entries.
-    prepared: Mutex<Vec<([u8; 32], Arc<PreparedPublicKey>)>>,
 }
 
 impl Engine {
@@ -256,79 +228,6 @@ impl Engine {
         let start = Instant::now();
         self.metrics.batch_begin(msgs.len(), self.workers);
         match encrypt_batch_into(&self.ctx, pk, msgs, master_seed, self.workers, out) {
-            Ok(statuses) => {
-                self.record(&self.metrics.encrypt, &statuses, start);
-                Ok(statuses)
-            }
-            Err(e) => {
-                self.metrics.batch_end(msgs.len());
-                Err(e)
-            }
-        }
-    }
-
-    /// The engine's cached per-key precompute for `pk`, built on first
-    /// use and shared by every subsequent batch under the same key (the
-    /// per-key amortization [`PreparedPublicKey`] exists for). The cache
-    /// holds the four most recently introduced keys (FIFO);
-    /// hits and misses are counted in
-    /// `rlwe_engine_prepared_cache_total{event}`.
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::ParamMismatch`] if the key belongs to another set.
-    pub fn prepared_key(&self, pk: &PublicKey) -> Result<Arc<PreparedPublicKey>, RlweError> {
-        let fp = pk_fingerprint(pk);
-        let cache_event = |event: &str| {
-            rlwe_obs::global()
-                .counter(
-                    "rlwe_engine_prepared_cache_total",
-                    "Prepared-public-key cache lookups by outcome.",
-                    &[("event", event)],
-                )
-                .inc();
-        };
-        let mut cache = self.prepared.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, p)) = cache.iter().find(|(k, _)| *k == fp) {
-            cache_event("hit");
-            return Ok(Arc::clone(p));
-        }
-        let p = Arc::new(self.ctx.prepare_public_key(pk)?);
-        if cache.len() >= PREPARED_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push((fp, Arc::clone(&p)));
-        cache_event("miss");
-        Ok(p)
-    }
-
-    /// Allocation-free batched encryption through the per-key cache and
-    /// interleaved transform groups; see
-    /// [`batch::encrypt_batch_prepared_into`]. Bit-identical to
-    /// [`Engine::encrypt_batch_into`] for the same master seed — the
-    /// cache and grouping change cost, never ciphertext bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::Malformed`] if `out.len() != msgs.len()`.
-    pub fn encrypt_batch_cached(
-        &self,
-        pk: &PublicKey,
-        msgs: &[impl AsRef<[u8]> + Sync],
-        master_seed: &[u8; 32],
-        out: &mut [Ciphertext],
-    ) -> Result<Vec<Result<(), RlweError>>, RlweError> {
-        let prepared = self.prepared_key(pk)?;
-        let start = Instant::now();
-        self.metrics.batch_begin(msgs.len(), self.workers);
-        match encrypt_batch_prepared_into(
-            &self.ctx,
-            &prepared,
-            msgs,
-            master_seed,
-            self.workers,
-            out,
-        ) {
             Ok(statuses) => {
                 self.record(&self.metrics.encrypt, &statuses, start);
                 Ok(statuses)
@@ -635,58 +534,6 @@ mod tests {
         // The label dimensions the issue pins.
         assert!(text.contains("param_set=\"P1\""));
         assert!(text.contains("reducer_kind=\"q7681\""));
-    }
-
-    #[test]
-    fn prepared_key_cache_shares_entries_and_stays_bounded() {
-        let engine = Engine::builder(ParamSet::P1)
-            .private_pool()
-            .build()
-            .unwrap();
-        let (pk, _) = engine.generate_keypair(&[40u8; 32]).unwrap();
-        let first = engine.prepared_key(&pk).unwrap();
-        let again = engine.prepared_key(&pk).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "same key must hit the cache");
-        // A different key gets its own entry.
-        let (other_pk, _) = engine.generate_keypair(&[41u8; 32]).unwrap();
-        let other = engine.prepared_key(&other_pk).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-        // Introducing PREPARED_CACHE_CAP further keys evicts the oldest
-        // (FIFO), so the first key is rebuilt on its next use.
-        for i in 0..PREPARED_CACHE_CAP as u8 {
-            let (pk_i, _) = engine.generate_keypair(&[50 + i; 32]).unwrap();
-            let _ = engine.prepared_key(&pk_i).unwrap();
-        }
-        let rebuilt = engine.prepared_key(&pk).unwrap();
-        assert!(!Arc::ptr_eq(&first, &rebuilt), "evicted entry must rebuild");
-        assert_eq!(*rebuilt, *first, "rebuild must reproduce the tables");
-        let cached = engine.prepared.lock().unwrap();
-        assert_eq!(cached.len(), PREPARED_CACHE_CAP);
-    }
-
-    #[test]
-    fn cached_batch_encryption_matches_the_plain_batch() {
-        let engine = Engine::builder(ParamSet::P1).workers(2).build().unwrap();
-        let (pk, sk) = engine.generate_keypair(&[44u8; 32]).unwrap();
-        let msgs: Vec<Vec<u8>> = (0..11u8).map(|i| vec![i; 32]).collect();
-        let seed = [45u8; 32];
-        let mut want: Vec<_> = (0..msgs.len())
-            .map(|_| engine.context().empty_ciphertext())
-            .collect();
-        engine
-            .encrypt_batch_into(&pk, &msgs, &seed, &mut want)
-            .unwrap();
-        let mut got: Vec<_> = (0..msgs.len())
-            .map(|_| engine.context().empty_ciphertext())
-            .collect();
-        let statuses = engine
-            .encrypt_batch_cached(&pk, &msgs, &seed, &mut got)
-            .unwrap();
-        assert!(statuses.iter().all(|s| s.is_ok()));
-        assert_eq!(got, want, "cached path changed ciphertext bytes");
-        for (ct, msg) in got.iter().zip(&msgs) {
-            assert_eq!(&engine.context().decrypt(&sk, ct).unwrap(), msg);
-        }
     }
 
     #[test]

@@ -11,122 +11,16 @@
 //! from the pre-registry implementation (now rendered through the
 //! shared [`rlwe_obs::TextTable`]).
 //!
-//! The original `LatencyHistogram` derived `len()`, `mean_us()` and
-//! each quantile from *independent* re-scans of the relaxed atomics, so
-//! a report taken concurrently with writers could see a mean computed
-//! over a different population than its percentiles. Fixed here: one
-//! consistent copy of the cells per snapshot, all statistics derived
-//! from that copy (the registry's nanosecond histograms inherit the
-//! same design via `rlwe_obs::HistogramSnapshot`).
+//! Latency is recorded into two `rlwe_obs::Histogram`s: an unregistered
+//! per-engine one for the report and the registry series for export.
+//! Every report statistic comes from one
+//! [`rlwe_obs::HistogramSnapshot`], which never tears, so a report taken
+//! while writers run still has its count, mean and percentiles describe
+//! the same population.
 
 use rlwe_obs::{Col, TextTable};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Number of histogram buckets: bucket `i` holds durations in
-/// `[2^i, 2^(i+1))` microseconds (bucket 0 includes sub-microsecond).
-const BUCKETS: usize = 32;
-
-/// Lock-free latency histogram with power-of-two microsecond buckets.
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    counts: [AtomicU64; BUCKETS],
-    total_us: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket(us: u64) -> usize {
-        ((64 - us.max(1).leading_zeros()) as usize - 1).min(BUCKETS - 1)
-    }
-
-    /// Records one duration.
-    pub fn record(&self, d: Duration) {
-        let us = d.as_micros() as u64;
-        self.counts[Self::bucket(us)].fetch_add(1, Ordering::Relaxed);
-        self.total_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// One consistent copy of the cells: a single sweep, from which
-    /// every statistic below is derived — never a second scan of the
-    /// live atomics.
-    fn cells(&self) -> ([u64; BUCKETS], u64) {
-        let mut counts = [0u64; BUCKETS];
-        for (acc, c) in counts.iter_mut().zip(self.counts.iter()) {
-            *acc = c.load(Ordering::Relaxed);
-        }
-        (counts, self.total_us.load(Ordering::Relaxed))
-    }
-
-    fn count_of(counts: &[u64; BUCKETS]) -> u64 {
-        counts.iter().sum()
-    }
-
-    /// Upper bound (µs) of the bucket containing the `q`-quantile
-    /// sample within one frozen counts array.
-    fn quantile_of(counts: &[u64; BUCKETS], n: u64, q: f64) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << BUCKETS
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> u64 {
-        Self::count_of(&self.cells().0)
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Mean recorded latency in microseconds, with count and sum read
-    /// from the same cell sweep.
-    pub fn mean_us(&self) -> f64 {
-        let (counts, total) = self.cells();
-        let n = Self::count_of(&counts);
-        if n == 0 {
-            return 0.0;
-        }
-        total as f64 / n as f64
-    }
-
-    /// Upper bound (µs) of the bucket containing the `q`-quantile sample,
-    /// `q` in `[0, 1]` — e.g. `0.5` for p50, `0.99` for p99. Returns 0 on
-    /// an empty histogram.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let (counts, _) = self.cells();
-        Self::quantile_of(&counts, Self::count_of(&counts), q)
-    }
-
-    /// A point-in-time copy for reporting: one cell sweep, every
-    /// statistic derived from it, so samples/mean/percentiles always
-    /// describe the same population even while writers are running.
-    fn snapshot(&self) -> LatencySnapshot {
-        let (counts, total) = self.cells();
-        let n = Self::count_of(&counts);
-        LatencySnapshot {
-            samples: n,
-            mean_us: if n == 0 { 0.0 } else { total as f64 / n as f64 },
-            p50_us: Self::quantile_of(&counts, n, 0.50),
-            p90_us: Self::quantile_of(&counts, n, 0.90),
-            p99_us: Self::quantile_of(&counts, n, 0.99),
-        }
-    }
-}
 
 /// Frozen percentile summary of one histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,12 +29,25 @@ pub struct LatencySnapshot {
     pub samples: u64,
     /// Mean latency (µs).
     pub mean_us: f64,
-    /// Median bucket upper bound (µs).
+    /// Median latency (µs, rounded; interpolated within its bucket).
     pub p50_us: u64,
-    /// 90th-percentile bucket upper bound (µs).
+    /// 90th-percentile latency (µs, rounded).
     pub p90_us: u64,
-    /// 99th-percentile bucket upper bound (µs).
+    /// 99th-percentile latency (µs, rounded).
     pub p99_us: u64,
+}
+
+impl LatencySnapshot {
+    fn of(s: &rlwe_obs::HistogramSnapshot) -> Self {
+        let us = |q: f64| (s.quantile_ns(q) / 1000.0).round() as u64;
+        Self {
+            samples: s.len(),
+            mean_us: s.mean_ns() / 1000.0,
+            p50_us: us(0.50),
+            p90_us: us(0.90),
+            p99_us: us(0.99),
+        }
+    }
 }
 
 /// A counter that feeds both a private per-engine cell (exact, read by
@@ -181,19 +88,19 @@ impl MirroredCounter {
     }
 }
 
-/// A latency histogram that feeds both the per-engine microsecond
-/// [`LatencyHistogram`] (report format unchanged) and a nanosecond
-/// histogram series in the global registry.
+/// A latency histogram that feeds both a private per-engine histogram
+/// (read by [`EngineMetrics::report`]) and a shared series in the global
+/// registry.
 #[derive(Debug)]
 pub struct MirroredHistogram {
-    local: LatencyHistogram,
+    local: rlwe_obs::Histogram,
     global: rlwe_obs::Histogram,
 }
 
 impl MirroredHistogram {
     fn new(global: rlwe_obs::Histogram) -> Self {
         Self {
-            local: LatencyHistogram::new(),
+            local: rlwe_obs::Histogram::new(),
             global,
         }
     }
@@ -206,12 +113,17 @@ impl MirroredHistogram {
 
     /// Samples recorded by this engine.
     pub fn len(&self) -> u64 {
-        self.local.len()
+        self.local.snapshot().len()
     }
 
     /// Whether this engine recorded nothing.
     pub fn is_empty(&self) -> bool {
-        self.local.is_empty()
+        self.len() == 0
+    }
+
+    /// This engine's latency summary, from one consistent snapshot.
+    pub(crate) fn snapshot(&self) -> LatencySnapshot {
+        LatencySnapshot::of(&self.local.snapshot())
     }
 }
 
@@ -254,7 +166,7 @@ impl OpMetrics {
             name,
             ok: self.ok.get(),
             failed: self.failed.get(),
-            latency: self.batch_latency.local.snapshot(),
+            latency: self.batch_latency.snapshot(),
         }
     }
 }
@@ -460,44 +372,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2_microseconds() {
-        assert_eq!(LatencyHistogram::bucket(0), 0);
-        assert_eq!(LatencyHistogram::bucket(1), 0);
-        assert_eq!(LatencyHistogram::bucket(2), 1);
-        assert_eq!(LatencyHistogram::bucket(3), 1);
-        assert_eq!(LatencyHistogram::bucket(4), 2);
-        assert_eq!(LatencyHistogram::bucket(1024), 10);
-        assert_eq!(LatencyHistogram::bucket(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_track_recorded_durations() {
-        let h = LatencyHistogram::new();
-        for _ in 0..90 {
-            h.record(Duration::from_micros(100)); // bucket 6: [64, 128)
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(5000)); // bucket 12: [4096, 8192)
-        }
-        assert_eq!(h.len(), 100);
-        assert_eq!(h.quantile_us(0.5), 128);
-        assert_eq!(h.quantile_us(0.99), 8192);
-        assert!((h.mean_us() - (90.0 * 100.0 + 10.0 * 5000.0) / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_histogram_is_well_behaved() {
-        let h = LatencyHistogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.quantile_us(0.5), 0);
-        assert_eq!(h.mean_us(), 0.0);
-    }
-
-    #[test]
     fn snapshot_derives_all_stats_from_one_sweep() {
-        // The skew regression: len/mean/quantiles must describe the same
-        // population even while writers are running.
-        let h = LatencyHistogram::new();
+        // The skew regression: samples/mean/percentiles must describe the
+        // same population even while writers are running.
+        let h = MirroredHistogram::new(rlwe_obs::Histogram::new());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -512,7 +390,7 @@ mod tests {
                     // Every sample is exactly 100 µs: a consistent
                     // snapshot must agree between count and sum.
                     assert_eq!(snap.mean_us, 100.0);
-                    assert_eq!(snap.p50_us, 128);
+                    assert!((65..=131).contains(&snap.p50_us), "p50 {}", snap.p50_us);
                 }
             }
         });

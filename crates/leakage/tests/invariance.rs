@@ -230,20 +230,6 @@ fn avx2_backend_is_bit_identical_to_the_traced_kernel_on_every_input_class() {
                 vec_out, input,
                 "{set_label}: avx2 round trip broke on class {class}"
             );
-            // Interleaved eight-lane path, same class in every lane —
-            // lane coupling would show up as cross-lane divergence.
-            let refs: Vec<&[u32]> = (0..8).map(|_| input.as_slice()).collect();
-            let mut buf = vec![0u32; 8 * n];
-            rlwe_ntt::avx2::interleave8_into(&refs, n, &mut buf);
-            plan.forward_interleaved8(&mut buf);
-            let mut lane = vec![0u32; n];
-            for k in 0..8 {
-                rlwe_ntt::avx2::deinterleave8_lane(&buf, k, &mut lane);
-                assert_eq!(
-                    lane, scalar,
-                    "{set_label}: interleaved lane {k} diverged on class {class}"
-                );
-            }
         }
     }
 }
@@ -332,42 +318,6 @@ fn vectorized_ct_cdt_is_bit_identical_to_the_traced_scalar_kernel() {
                 vec_bits.bits_drawn(),
                 ref_bits.bits_drawn(),
                 "{set_label}/{class_label}: bit budgets diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn fused_interleaved_ct_cdt_matches_per_lane_traced_samples() {
-    // The grouped-encrypt fusion: eight lanes sampled straight into the
-    // `8i + j` interleaved layout, each lane drawing only from its own
-    // source. Gate: gathering lane j must reproduce the traced scalar
-    // kernel run sequentially on lane j's source, for every adversarial
-    // word class (same class in every lane — coupling would show up as
-    // cross-lane divergence, as in the NTT gate).
-    let r = rlwe_zq::reduce::Q7681;
-    let pmat = ProbabilityMatrix::paper_p1().unwrap();
-    let ct = CtCdtSampler::new(&pmat);
-    let n = 64usize;
-    for (class_label, class) in sampler_word_classes() {
-        let mut sources: [_; 8] =
-            std::array::from_fn(|_| BufferedBitSource::buffered(class.clone()));
-        let mut wide = vec![0u32; 8 * n];
-        ct.sample_interleaved8_into(&r, &mut sources, &mut wide);
-        for lane in 0..8 {
-            let mut ref_bits = BufferedBitSource::new(class.clone());
-            for i in 0..n {
-                let (want, _) = ct.sample_traced(&mut ref_bits);
-                assert_eq!(
-                    wide[8 * i + lane],
-                    want.to_zq_with(&r),
-                    "{class_label}: lane {lane} coefficient {i} diverged"
-                );
-            }
-            assert_eq!(
-                sources[lane].bits_drawn(),
-                ref_bits.bits_drawn(),
-                "{class_label}: lane {lane} bit budget diverged"
             );
         }
     }

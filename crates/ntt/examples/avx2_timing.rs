@@ -29,13 +29,4 @@ fn main() {
         "inverse  scalar {scalar_i:8.1} ns   avx2 {avx2_i:8.1} ns   speedup {:.2}x",
         scalar_i / avx2_i
     );
-    let mut wide = vec![0u32; 8 * 512];
-    let il = time_ns(
-        || plan.forward_interleaved8(std::hint::black_box(&mut wide)),
-        reps / 4,
-    );
-    println!(
-        "interleaved8 forward {il:8.1} ns total, {:8.1} ns/poly",
-        il / 8.0
-    );
 }

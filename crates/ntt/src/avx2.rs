@@ -1,26 +1,17 @@
 //! Runtime-detected AVX2 NTT backend: 8×32-bit lanes over the same lazy
 //! Harvey butterflies as the scalar plan.
 //!
-//! Two kernel families live here, both **bit-identical** to the scalar
-//! reference transforms by construction (every vector operation computes
+//! The single-polynomial transforms ([`NttPlan::forward_avx2`] /
+//! [`NttPlan::inverse_avx2`]) are **bit-identical** to the scalar
+//! reference transforms by construction: every vector operation computes
 //! exactly the scalar `wrapping_*` formula of `rlwe_zq::lazy` on eight
 //! lanes at once — same lazy domains, same masked corrections, same
-//! canonical outputs):
-//!
-//! * **Single-polynomial transforms** ([`NttPlan::forward_avx2`] /
-//!   [`NttPlan::inverse_avx2`]): stages whose butterfly span is ≥ 8
-//!   coefficients broadcast one twiddle per block and stream full
-//!   vectors; the three tail stages (span 4/2/1) keep full vectors by
-//!   shuffling the in-register halves (`permute2x128` for span 4,
-//!   `shuffle_epi32` for spans 2 and 1) against per-lane expanded
-//!   twiddle tables (`Avx2Tables`, built once at plan construction).
-//! * **Interleaved 8-polynomial transforms**
-//!   ([`NttPlan::forward_interleaved8`] /
-//!   [`NttPlan::inverse_interleaved8`]): eight polynomials stored
-//!   coefficient-interleaved (`buf[i*8 + lane]`), so *every* stage is a
-//!   full-vector loop with one broadcast twiddle per block and no
-//!   shuffles at all — the layout `rlwe-engine` feeds from its batch
-//!   fan-out to amortize twiddle loads across a group.
+//! canonical outputs. Stages whose butterfly span is ≥ 8 coefficients
+//! broadcast one twiddle per block and stream full vectors; the three
+//! tail stages (span 4/2/1) keep full vectors by shuffling the
+//! in-register halves (`permute2x128` for span 4, `shuffle_epi32` for
+//! spans 2 and 1) against per-lane expanded twiddle tables
+//! (`Avx2Tables`, built once at plan construction).
 //!
 //! On hosts without AVX2 (or non-x86_64 targets) every entry point falls
 //! back to a scalar path that executes the identical operation sequence,
@@ -37,7 +28,6 @@
 //! `is_x86_feature_detected!("avx2")` at plan-construction time and the
 //! slice lengths at the call site. See DESIGN.md §11.
 
-use rlwe_zq::lazy;
 use rlwe_zq::shoup::ShoupPair;
 use rlwe_zq::Reducer;
 
@@ -451,108 +441,6 @@ mod kernel {
         inv_wide_stages(a, itwiddles, qv, two_qv);
         inv_merged_final(a, n_inv, merged, qv, two_qv);
     }
-
-    /// Forward NTT over eight coefficient-interleaved polynomials: with
-    /// every coefficient widened to a full vector, *all* stages are
-    /// broadcast-twiddle wide stages (the span in `u32`s never drops
-    /// below 8), so this is just [`fwd_wide_stages`] plus the sweep.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `buf.len()` must equal `8n` for the plan
-    /// dimension `n` that `twiddles` was built for.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn forward_interleaved(buf: &mut [u32], twiddles: &[ShoupPair], q: u32, two_q: u32) {
-        let qv = _mm256_set1_epi32(q as i32);
-        let two_qv = _mm256_set1_epi32(two_q as i32);
-        fwd_wide_stages(buf, twiddles, qv, two_qv);
-        normalize_sweep(buf, qv, two_qv);
-    }
-
-    /// Inverse NTT over eight coefficient-interleaved polynomials.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`forward_interleaved`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn inverse_interleaved(
-        buf: &mut [u32],
-        itwiddles: &[ShoupPair],
-        n_inv: ShoupPair,
-        merged: ShoupPair,
-        q: u32,
-        two_q: u32,
-    ) {
-        let qv = _mm256_set1_epi32(q as i32);
-        let two_qv = _mm256_set1_epi32(two_q as i32);
-        inv_wide_stages(buf, itwiddles, qv, two_qv);
-        inv_merged_final(buf, n_inv, merged, qv, two_qv);
-    }
-}
-
-/// Scalar fallback for the interleaved-8 forward transform: the scalar
-/// reference algorithm with every butterfly span scaled by the eight
-/// interleaved lanes — identical operation sequence per element, so the
-/// result is bit-identical to the AVX2 kernel *and* to eight separate
-/// scalar transforms.
-fn forward_interleaved_scalar<R: Reducer>(plan: &NttPlan<R>, buf: &mut [u32]) {
-    let r = *plan.reducer();
-    let q = r.q();
-    let two_q = r.two_q();
-    let mut tw = plan.forward_twiddles().iter().skip(1);
-    let mut s = buf.len() >> 1;
-    while s >= 8 {
-        for (block, w) in buf.chunks_exact_mut(2 * s).zip(&mut tw) {
-            let (lo, hi) = block.split_at_mut(s);
-            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let u = r.reduce_once_2q(*x);
-                let v = w.mul_lazy(*y, q);
-                *x = lazy::add_lazy(u, v);
-                *y = lazy::sub_lazy(u, v, two_q);
-            }
-        }
-        s >>= 1;
-    }
-    for x in buf.iter_mut() {
-        *x = r.normalize4(*x);
-    }
-}
-
-/// Scalar fallback for the interleaved-8 inverse transform (see
-/// [`forward_interleaved_scalar`]).
-fn inverse_interleaved_scalar<R: Reducer>(plan: &NttPlan<R>, buf: &mut [u32]) {
-    let r = *plan.reducer();
-    let q = r.q();
-    let two_q = r.two_q();
-    let itw = plan.inverse_twiddles();
-    let mut s = 8usize;
-    loop {
-        let blocks = buf.len() / (2 * s);
-        if blocks < 2 {
-            break;
-        }
-        let window = itw.iter().skip(blocks).take(blocks);
-        for (block, w) in buf.chunks_exact_mut(2 * s).zip(window) {
-            let (lo, hi) = block.split_at_mut(s);
-            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let u = *x;
-                let v = *y;
-                *x = r.reduce_once_2q(lazy::add_lazy(u, v));
-                *y = w.mul_lazy(lazy::sub_lazy(u, v, two_q), q);
-            }
-        }
-        s <<= 1;
-    }
-    let n_inv = plan.n_inv_pair();
-    let merged = plan.merged_inverse_twiddle();
-    let half = buf.len() / 2;
-    let (lo, hi) = buf.split_at_mut(half);
-    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-        let u = *x;
-        let v = *y;
-        *x = r.reduce_once(n_inv.mul_lazy(lazy::add_lazy(u, v), q));
-        *y = r.reduce_once(merged.mul_lazy(lazy::sub_lazy(u, v, two_q), q));
-    }
 }
 
 impl<R: Reducer> NttPlan<R> {
@@ -621,109 +509,6 @@ impl<R: Reducer> NttPlan<R> {
         }
         self.inverse(a);
     }
-
-    /// In-place forward NTT of **eight** polynomials stored
-    /// coefficient-interleaved (`buf[i*8 + lane]` is coefficient `i` of
-    /// polynomial `lane`): one broadcast twiddle load serves eight
-    /// butterflies in every stage. Uses the AVX2 kernel when the host
-    /// supports it, a bit-identical scalar loop otherwise; either way
-    /// the result equals eight separate [`NttPlan::forward`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != 8 * n`.
-    // Scoped unsafe exception: the single detection-gated kernel
-    // call below (see the SAFETY comment at the call site).
-    #[allow(unsafe_code)]
-    pub fn forward_interleaved8(&self, buf: &mut [u32]) {
-        assert_eq!(
-            buf.len(),
-            8 * self.n(),
-            "interleaved buffer must hold 8 polynomials"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if available() {
-            // SAFETY: runtime detection checked on the line above; the
-            // assert pins `buf.len()` to `8n`.
-            unsafe {
-                kernel::forward_interleaved(buf, self.forward_twiddles(), self.q(), self.two_q())
-            }
-            return;
-        }
-        forward_interleaved_scalar(self, buf);
-    }
-
-    /// In-place inverse NTT of eight coefficient-interleaved polynomials
-    /// (see [`NttPlan::forward_interleaved8`]); the result equals eight
-    /// separate [`NttPlan::inverse`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != 8 * n`.
-    // Scoped unsafe exception: the single detection-gated kernel
-    // call below (see the SAFETY comment at the call site).
-    #[allow(unsafe_code)]
-    pub fn inverse_interleaved8(&self, buf: &mut [u32]) {
-        assert_eq!(
-            buf.len(),
-            8 * self.n(),
-            "interleaved buffer must hold 8 polynomials"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if available() {
-            // SAFETY: runtime detection checked on the line above; the
-            // assert pins `buf.len()` to `8n`.
-            unsafe {
-                kernel::inverse_interleaved(
-                    buf,
-                    self.inverse_twiddles(),
-                    self.n_inv_pair(),
-                    self.merged_inverse_twiddle(),
-                    self.q(),
-                    self.two_q(),
-                )
-            }
-            return;
-        }
-        inverse_interleaved_scalar(self, buf);
-    }
-}
-
-/// Scatters `polys` (up to 8 polynomials of length `n`) into the
-/// coefficient-interleaved layout; unused lanes are zero-filled.
-///
-/// # Panics
-///
-/// Panics if `polys.len() > 8`, any polynomial's length differs from
-/// `n`, or `buf.len() != 8 * n`.
-pub fn interleave8_into(polys: &[&[u32]], n: usize, buf: &mut [u32]) {
-    assert!(polys.len() <= 8, "at most 8 polynomials per group");
-    assert_eq!(
-        buf.len(),
-        8 * n,
-        "interleaved buffer must hold 8 polynomials"
-    );
-    buf.fill(0);
-    for (lane, poly) in polys.iter().enumerate() {
-        assert_eq!(poly.len(), n, "polynomial length must equal n");
-        for (slot, &c) in buf.iter_mut().skip(lane).step_by(8).zip(poly.iter()) {
-            *slot = c;
-        }
-    }
-}
-
-/// Gathers polynomial `lane` out of the coefficient-interleaved layout
-/// into `out`.
-///
-/// # Panics
-///
-/// Panics if `lane >= 8` or `buf.len() != 8 * out.len()`.
-pub fn deinterleave8_lane(buf: &[u32], lane: usize, out: &mut [u32]) {
-    assert!(lane < 8, "lane must be below 8");
-    assert_eq!(buf.len(), 8 * out.len(), "buffer/output length mismatch");
-    for (slot, &c) in out.iter_mut().zip(buf.iter().skip(lane).step_by(8)) {
-        *slot = c;
-    }
 }
 
 #[cfg(test)]
@@ -789,63 +574,6 @@ mod tests {
         let s2 = NttPlan::with_reducer(512, Q12289).unwrap();
         let g2 = NttPlan::new(512, 12289).unwrap();
         check_specialized_matches_generic(&s2, &g2, &sample_poly(512, 12289, 13));
-    }
-
-    #[test]
-    fn interleaved_transforms_match_eight_sequential_transforms() {
-        for (n, q) in [(4usize, 12289u32), (16, 12289), (256, 7681), (512, 12289)] {
-            let plan = NttPlan::new(n, q).unwrap();
-            let polys: Vec<Vec<u32>> = (0..8).map(|i| sample_poly(n, q, 7 + i)).collect();
-            let refs: Vec<&[u32]> = polys.iter().map(Vec::as_slice).collect();
-            let mut buf = vec![0u32; 8 * n];
-            interleave8_into(&refs, n, &mut buf);
-            plan.forward_interleaved8(&mut buf);
-            let mut out = vec![0u32; n];
-            for (lane, poly) in polys.iter().enumerate() {
-                deinterleave8_lane(&buf, lane, &mut out);
-                assert_eq!(out, plan.forward_copy(poly), "fwd lane {lane} n={n}");
-            }
-            plan.inverse_interleaved8(&mut buf);
-            for (lane, poly) in polys.iter().enumerate() {
-                deinterleave8_lane(&buf, lane, &mut out);
-                assert_eq!(out, *poly, "round trip lane {lane} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_scalar_fallback_is_bit_identical_to_the_dispatching_path() {
-        // The scalar loops must agree with whatever forward_interleaved8
-        // picked (on AVX2 hosts this cross-checks vector vs scalar; on
-        // others it is a self-check).
-        let plan = NttPlan::new(256, 7681).unwrap();
-        let polys: Vec<Vec<u32>> = (0..8).map(|i| sample_poly(256, 7681, 11 + i)).collect();
-        let refs: Vec<&[u32]> = polys.iter().map(Vec::as_slice).collect();
-        let mut via_dispatch = vec![0u32; 8 * 256];
-        interleave8_into(&refs, 256, &mut via_dispatch);
-        let mut via_scalar = via_dispatch.clone();
-        plan.forward_interleaved8(&mut via_dispatch);
-        forward_interleaved_scalar(&plan, &mut via_scalar);
-        assert_eq!(via_dispatch, via_scalar, "forward fallback diverged");
-        plan.inverse_interleaved8(&mut via_dispatch);
-        inverse_interleaved_scalar(&plan, &mut via_scalar);
-        assert_eq!(via_dispatch, via_scalar, "inverse fallback diverged");
-    }
-
-    #[test]
-    fn partial_groups_zero_fill_unused_lanes() {
-        let n = 64;
-        let plan = NttPlan::new(n, 7681).unwrap();
-        let a = sample_poly(n, 7681, 5);
-        let mut buf = vec![0xAAAA_AAAAu32; 8 * n];
-        interleave8_into(&[&a, &a, &a], n, &mut buf);
-        plan.forward_interleaved8(&mut buf);
-        let mut out = vec![0u32; n];
-        deinterleave8_lane(&buf, 2, &mut out);
-        assert_eq!(out, plan.forward_copy(&a));
-        // Zero lanes transform to zero.
-        deinterleave8_lane(&buf, 7, &mut out);
-        assert!(out.iter().all(|&c| c == 0), "zero lane must stay zero");
     }
 
     #[test]

@@ -26,12 +26,9 @@ use crate::trace::NttOpTrace;
 use crate::PolyScratch;
 use std::sync::OnceLock;
 
-/// The NTT backend labels `rlwe_ntt_dispatch_total` can carry:
-/// construction-time selections report the context's configured backend
-/// (`reference`/`packed`/`swar`/`avx2`), and the engine's grouped
-/// transforms additionally count one `interleaved` dispatch per
-/// interleaved transform group.
-pub const BACKEND_LABELS: [&str; 5] = ["reference", "packed", "swar", "avx2", "interleaved"];
+/// The NTT backend labels `rlwe_ntt_dispatch_total` can carry: each
+/// construction-time selection reports the context's configured backend.
+pub const BACKEND_LABELS: [&str; 2] = ["reference", "avx2"];
 
 /// Pre-resolved `rlwe_ntt_dispatch_total{ntt_backend,reducer_kind}`
 /// counters, one per (instantiation × backend) pair: dispatch decisions
@@ -135,7 +132,7 @@ impl AnyNttPlan {
 
     /// [`AnyNttPlan::promote`] with an explicit NTT-backend label for the
     /// dispatch metric: `rlwe-core`'s context builder passes its
-    /// configured backend (`reference`/`packed`/`swar`/`avx2`) so
+    /// configured backend (`reference`/`avx2`) so
     /// `rlwe_ntt_dispatch_total{ntt_backend,reducer_kind}` reports which
     /// transform implementation the selected plan will actually serve.
     pub fn promote_for_backend(plan: NttPlan, backend: &str) -> Self {
@@ -162,14 +159,6 @@ impl AnyNttPlan {
     pub fn generic_for_backend(plan: NttPlan, backend: &str) -> Self {
         dispatch_counter(ReducerKind::Barrett, backend).inc();
         AnyNttPlan::Generic(plan)
-    }
-
-    /// Counts one interleaved-group transform dispatch for this plan's
-    /// reducer in `rlwe_ntt_dispatch_total{ntt_backend="interleaved"}` —
-    /// called by the engine's batch router once per interleaved
-    /// transform group, making the grouped fast path observable.
-    pub fn record_interleaved_dispatch(&self) {
-        dispatch_counter(self.kind(), "interleaved").inc();
     }
 
     /// Which reducer instantiation this plan dispatches to.
@@ -357,26 +346,6 @@ impl AnyNttPlan {
     pub fn inverse_avx2(&self, a: &mut [u32]) {
         with_plan!(self, |p| p.inverse_avx2(a))
     }
-
-    /// Forward-transforms an 8-way interleaved group in place (see
-    /// [`NttPlan::forward_interleaved8`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != 8 * n`.
-    pub fn forward_interleaved8(&self, buf: &mut [u32]) {
-        with_plan!(self, |p| p.forward_interleaved8(buf))
-    }
-
-    /// Inverse-transforms an 8-way interleaved group in place (see
-    /// [`NttPlan::inverse_interleaved8`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != 8 * n`.
-    pub fn inverse_interleaved8(&self, buf: &mut [u32]) {
-        with_plan!(self, |p| p.inverse_interleaved8(buf))
-    }
 }
 
 #[cfg(test)]
@@ -419,15 +388,12 @@ mod tests {
     #[test]
     fn backend_labels_are_counted_independently() {
         let avx2_before = dispatch_counter(ReducerKind::Q12289, "avx2").get();
-        let interleaved_before = dispatch_counter(ReducerKind::Q12289, "interleaved").get();
-        let plan = AnyNttPlan::promote_for_backend(NttPlan::new(512, 12289).unwrap(), "avx2");
-        plan.record_interleaved_dispatch();
+        let _ = AnyNttPlan::promote_for_backend(NttPlan::new(512, 12289).unwrap(), "avx2");
         assert!(dispatch_counter(ReducerKind::Q12289, "avx2").get() > avx2_before);
-        assert!(dispatch_counter(ReducerKind::Q12289, "interleaved").get() > interleaved_before);
         // The rendered metric carries both dimensions.
         let text = rlwe_obs::render();
         assert!(text.contains("ntt_backend=\"avx2\""));
-        assert!(text.contains("ntt_backend=\"interleaved\""));
+        assert!(text.contains("reducer_kind=\"q12289\""));
     }
 
     #[test]
@@ -440,14 +406,6 @@ mod tests {
         assert_eq!(via_avx2, generic.forward_copy(&a));
         any.inverse_avx2(&mut via_avx2);
         assert_eq!(via_avx2, a);
-
-        let mut buf = vec![0u32; 8 * 512];
-        let polys: Vec<&[u32]> = vec![&a; 8];
-        crate::avx2::interleave8_into(&polys, 512, &mut buf);
-        any.forward_interleaved8(&mut buf);
-        let mut lane = vec![0u32; 512];
-        crate::avx2::deinterleave8_lane(&buf, 3, &mut lane);
-        assert_eq!(lane, generic.forward_copy(&a));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! (skippable via [`NttPlan::forward_lazy`] when the consumer reduces
 //! anyway), the inverse inside its merged final stage, where the `n⁻¹`
 //! scaling is folded into the last butterflies. This requires `q < 2³⁰`
-//! (enforced by [`NttPlan::new`]); the halfword-packed layouts further
-//! require `q < 2¹⁴`, amply satisfied by the paper's moduli.
+//! (enforced by [`NttPlan::new`]); the halfword-packed layout further
+//! requires `q < 2¹⁴`, amply satisfied by the paper's moduli.
 //! [`NttPlan::forward_traced`]/[`NttPlan::inverse_traced`] return the
 //! exact per-kind operation counts ([`NttOpTrace`]) so the leakage
 //! harness can pin the transforms' input-independence in CI.
@@ -85,7 +85,6 @@ pub mod parallel;
 pub mod pointwise;
 pub mod primes;
 pub mod schoolbook;
-pub mod swar;
 
 pub use dispatch::AnyNttPlan;
 pub use error::NttError;

@@ -31,10 +31,10 @@ use crate::plan::NttPlan;
 
 /// Largest modulus the packed lazy butterflies support: `4q` must fit a
 /// halfword lane.
-pub const MAX_PACKED_Q: u32 = 1 << 14;
+const MAX_PACKED_Q: u32 = 1 << 14;
 
 /// Asserts the packed lazy-domain precondition `4q < 2¹⁶` — shared by
-/// every halfword-lane transform (packed, SWAR, fused parallel).
+/// every halfword-lane transform (packed and fused parallel).
 #[inline]
 pub(crate) fn assert_packed_q(q: u32) {
     assert!(

@@ -15,8 +15,7 @@
 //! the next `take` (correct, just slower), so the arena can never dangle
 //! or double-lend.
 
-/// A reusable arena of `n`-coefficient `u32` buffers plus `u64` lane
-/// buffers for the SWAR backend.
+/// A reusable arena of `n`-coefficient `u32` buffers.
 ///
 /// # Example
 ///
@@ -35,8 +34,6 @@
 pub struct PolyScratch {
     n: usize,
     bufs: Vec<Vec<u32>>,
-    bufs64: Vec<Vec<u64>>,
-    wide: Vec<Vec<u32>>,
 }
 
 impl PolyScratch {
@@ -45,8 +42,6 @@ impl PolyScratch {
         Self {
             n,
             bufs: Vec::new(),
-            bufs64: Vec::new(),
-            wide: Vec::new(),
         }
     }
 
@@ -77,55 +72,6 @@ impl PolyScratch {
         self.bufs.push(buf);
     }
 
-    /// Checks out an `n/4`-length `u64` lane buffer (for the SWAR NTT
-    /// backend's four-coefficients-per-word layout).
-    #[must_use = "dropping the buffer forfeits the reuse; return it with put64()"]
-    pub fn take64(&mut self) -> Vec<u64> {
-        match self.bufs64.pop() {
-            Some(buf) => buf,
-            None => vec![0u64; self.n / 4],
-        }
-    }
-
-    /// Returns a `u64` lane buffer to the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer's length differs from `n/4`.
-    pub fn put64(&mut self, buf: Vec<u64>) {
-        assert_eq!(
-            buf.len(),
-            self.n / 4,
-            "returned lane buffer has the wrong length"
-        );
-        self.bufs64.push(buf);
-    }
-
-    /// Checks out an `8n`-length interleaved-group buffer (for the AVX2
-    /// backend's eight-polynomials-per-transform layout; see
-    /// [`crate::avx2::interleave8_into`]).
-    #[must_use = "dropping the buffer forfeits the reuse; return it with put_wide()"]
-    pub fn take_wide(&mut self) -> Vec<u32> {
-        match self.wide.pop() {
-            Some(buf) => buf,
-            None => vec![0u32; 8 * self.n],
-        }
-    }
-
-    /// Returns an interleaved-group buffer to the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer's length differs from `8n`.
-    pub fn put_wide(&mut self, buf: Vec<u32>) {
-        assert_eq!(
-            buf.len(),
-            8 * self.n,
-            "returned wide buffer has the wrong length"
-        );
-        self.wide.push(buf);
-    }
-
     /// Number of `u32` buffers currently parked in the arena (for tests
     /// and capacity diagnostics).
     pub fn parked(&self) -> usize {
@@ -140,12 +86,6 @@ impl PolyScratch {
     /// key-determining material between operations.
     pub fn scrub(&mut self) {
         for buf in &mut self.bufs {
-            rlwe_zq::ct::zeroize_u32(buf);
-        }
-        for buf in &mut self.bufs64 {
-            rlwe_zq::ct::zeroize_u64(buf);
-        }
-        for buf in &mut self.wide {
             rlwe_zq::ct::zeroize_u32(buf);
         }
     }
@@ -171,18 +111,14 @@ mod tests {
     fn scrub_erases_parked_buffers_in_place() {
         let mut s = PolyScratch::new(8);
         let mut a = s.take();
-        let mut b = s.take64();
         a.fill(0xDEAD_BEEF);
-        b.fill(0xFEED_FACE_CAFE_F00D);
+        let ptr = a.as_ptr();
         s.put(a);
-        s.put64(b);
         s.scrub();
         let a = s.take();
+        assert_eq!(a.as_ptr(), ptr, "the scrubbed buffer stays parked");
         assert!(a.iter().all(|&c| c == 0), "u32 buffer survived the scrub");
-        let b = s.take64();
-        assert!(b.iter().all(|&w| w == 0), "u64 buffer survived the scrub");
         s.put(a);
-        s.put64(b);
     }
 
     #[test]
@@ -194,36 +130,6 @@ mod tests {
         s.put(a);
         s.put(b);
         assert_eq!(s.parked(), 2);
-    }
-
-    #[test]
-    fn lane_buffers_have_quarter_length() {
-        let mut s = PolyScratch::new(256);
-        let w = s.take64();
-        assert_eq!(w.len(), 64);
-        s.put64(w);
-    }
-
-    #[test]
-    fn wide_buffers_have_eightfold_length_and_are_reused_and_scrubbed() {
-        let mut s = PolyScratch::new(16);
-        let mut w = s.take_wide();
-        assert_eq!(w.len(), 128);
-        w.fill(0xAAAA_5555);
-        let ptr = w.as_ptr();
-        s.put_wide(w);
-        s.scrub();
-        let w = s.take_wide();
-        assert_eq!(w.as_ptr(), ptr, "the same allocation comes back");
-        assert!(w.iter().all(|&c| c == 0), "wide buffer survived the scrub");
-        s.put_wide(w);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong length")]
-    fn returning_a_foreign_wide_buffer_panics() {
-        let mut s = PolyScratch::new(8);
-        s.put_wide(vec![0u32; 8]);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! AVX2 backend equivalence: the vectorized transforms must be
-//! bit-identical to the scalar reference and SWAR backends, and the
-//! interleaved eight-polynomial transform must match eight sequential
-//! single-polynomial transforms lane for lane.
+//! bit-identical to the scalar reference.
 //!
 //! On hosts without AVX2 the wrapper entry points fall back to the
 //! scalar algorithm, so every assertion here still runs and must still
@@ -9,7 +7,6 @@
 //! stays green on any architecture.
 
 use proptest::prelude::*;
-use rlwe_ntt::swar::{forward_swar, pack_coeffs4, unpack_coeffs4};
 use rlwe_ntt::NttPlan;
 
 /// (label, n, q) for the paper's two rings.
@@ -37,8 +34,8 @@ fn note_host_capability() {
     }
 }
 
-/// Asserts the AVX2 entry points agree with the reference and SWAR
-/// backends on one plan/input pair.
+/// Asserts the AVX2 entry points agree with the reference backend on
+/// one plan/input pair.
 fn assert_avx2_matches_scalar<R: rlwe_zq::Reducer>(plan: &NttPlan<R>, a: &[u32], label: &str) {
     let reference = plan.forward_copy(a);
 
@@ -46,48 +43,9 @@ fn assert_avx2_matches_scalar<R: rlwe_zq::Reducer>(plan: &NttPlan<R>, a: &[u32],
     plan.forward_avx2(&mut via_avx2);
     assert_eq!(via_avx2, reference, "avx2 forward diverged on {label}");
 
-    let mut lanes = pack_coeffs4(a);
-    forward_swar(plan, &mut lanes);
-    assert_eq!(
-        unpack_coeffs4(&lanes),
-        reference,
-        "swar disagreed with the reference on {label}"
-    );
-
     let mut back = reference.clone();
     plan.inverse_avx2(&mut back);
     assert_eq!(back, a, "avx2 inverse broke the round trip on {label}");
-}
-
-/// Asserts the interleaved-8 transform matches eight sequential
-/// single-polynomial transforms, forward and inverse.
-fn assert_interleaved_matches_sequential<R: rlwe_zq::Reducer>(
-    plan: &NttPlan<R>,
-    polys: &[Vec<u32>],
-    label: &str,
-) {
-    let n = polys[0].len();
-    let refs: Vec<&[u32]> = polys.iter().map(|p| p.as_slice()).collect();
-    let mut buf = vec![0u32; 8 * n];
-    rlwe_ntt::avx2::interleave8_into(&refs, n, &mut buf);
-    plan.forward_interleaved8(&mut buf);
-    let mut lane_out = vec![0u32; n];
-    for (lane, p) in polys.iter().enumerate() {
-        rlwe_ntt::avx2::deinterleave8_lane(&buf, lane, &mut lane_out);
-        assert_eq!(
-            lane_out,
-            plan.forward_copy(p),
-            "interleaved forward lane {lane} diverged on {label}"
-        );
-    }
-    plan.inverse_interleaved8(&mut buf);
-    for (lane, p) in polys.iter().enumerate() {
-        rlwe_ntt::avx2::deinterleave8_lane(&buf, lane, &mut lane_out);
-        assert_eq!(
-            &lane_out, p,
-            "interleaved inverse lane {lane} broke the round trip on {label}"
-        );
-    }
 }
 
 proptest! {
@@ -107,28 +65,6 @@ proptest! {
         let p2 = NttPlan::with_reducer(512, rlwe_zq::reduce::Q12289).unwrap();
         assert_avx2_matches_scalar(&p2, &polys[1], "P2/q12289");
     }
-
-    #[test]
-    fn interleaved_transform_matches_eight_sequential_transforms(
-        polys in pair_strategy(),
-        seed in 1u32..1000,
-    ) {
-        note_host_capability();
-        for ((label, n, q), a) in RINGS.iter().zip(&polys) {
-            // Eight distinct polynomials: the random one plus seven
-            // derived rotations, so every lane carries different data.
-            let eight: Vec<Vec<u32>> = (0..8u32)
-                .map(|lane| {
-                    a.iter()
-                        .enumerate()
-                        .map(|(i, &c)| (c + lane * (seed + i as u32)) % q)
-                        .collect()
-                })
-                .collect();
-            let plan = NttPlan::new(*n, *q).unwrap();
-            assert_interleaved_matches_sequential(&plan, &eight, label);
-        }
-    }
 }
 
 #[test]
@@ -140,33 +76,9 @@ fn avx2_survives_worst_case_vectors() {
         let plan = NttPlan::new(n, q).unwrap();
         let worst = vec![q - 1; n];
         assert_avx2_matches_scalar(&plan, &worst, label);
-        let eight = vec![worst.clone(); 8];
-        assert_interleaved_matches_sequential(&plan, &eight, label);
     }
     let p1 = NttPlan::with_reducer(256, rlwe_zq::reduce::Q7681).unwrap();
     assert_avx2_matches_scalar(&p1, &vec![7680u32; 256], "P1/q7681 worst case");
     let p2 = NttPlan::with_reducer(512, rlwe_zq::reduce::Q12289).unwrap();
     assert_avx2_matches_scalar(&p2, &vec![12288u32; 512], "P2/q12289 worst case");
-}
-
-#[test]
-fn partial_interleave_groups_zero_fill_the_unused_lanes() {
-    // The engine's grouped encrypt interleaves fewer than eight
-    // polynomials on the tail group; the helper must zero-fill the rest
-    // so the transform runs on well-formed (< q) residues.
-    let (n, q) = (256usize, 7681u32);
-    let plan = NttPlan::new(n, q).unwrap();
-    let a: Vec<u32> = (0..n as u32).map(|i| (i * 31 + 5) % q).collect();
-    let b: Vec<u32> = (0..n as u32).map(|i| (i * 17 + 11) % q).collect();
-    let mut buf = vec![u32::MAX; 8 * n];
-    rlwe_ntt::avx2::interleave8_into(&[&a, &b], n, &mut buf);
-    plan.forward_interleaved8(&mut buf);
-    let mut lane_out = vec![0u32; n];
-    rlwe_ntt::avx2::deinterleave8_lane(&buf, 0, &mut lane_out);
-    assert_eq!(lane_out, plan.forward_copy(&a));
-    rlwe_ntt::avx2::deinterleave8_lane(&buf, 1, &mut lane_out);
-    assert_eq!(lane_out, plan.forward_copy(&b));
-    // An all-zero lane transforms to all zeros.
-    rlwe_ntt::avx2::deinterleave8_lane(&buf, 7, &mut lane_out);
-    assert!(lane_out.iter().all(|&c| c == 0), "unused lane not zeroed");
 }

@@ -1,6 +1,6 @@
-//! Cross-backend equivalence: the reference scalar transform, the packed
-//! two-per-word transform and the SWAR four-lane transform must agree
-//! coefficient-for-coefficient on random polynomials.
+//! Cross-backend equivalence: the reference scalar transform and the
+//! packed two-per-word transform must agree coefficient-for-coefficient
+//! on random polynomials.
 //!
 //! Rings covered: the paper's P1 (n=256, q=7681) and P2 (n=512, q=12289),
 //! plus a larger "P3" ring (n=1024, q=12289 — 12288 = 3·2¹², so the same
@@ -9,7 +9,6 @@
 
 use proptest::prelude::*;
 use rlwe_ntt::packed::{forward_packed, inverse_packed};
-use rlwe_ntt::swar::{forward_swar, pack_coeffs4, unpack_coeffs4};
 use rlwe_ntt::{NttPlan, PolyScratch};
 
 /// (label, n, q) for the three rings under test.
@@ -42,16 +41,8 @@ proptest! {
             forward_packed(&plan, &mut packed_words);
             prop_assert_eq!(
                 rlwe_ntt::packed::unpack_coeffs(&packed_words),
-                reference.clone(),
-                "packed forward diverged on {}", label
-            );
-
-            let mut lanes = pack_coeffs4(a);
-            forward_swar(&plan, &mut lanes);
-            prop_assert_eq!(
-                unpack_coeffs4(&lanes),
                 reference,
-                "swar forward diverged on {}", label
+                "packed forward diverged on {}", label
             );
         }
     }
@@ -83,11 +74,6 @@ proptest! {
             forward_packed(&plan, &mut via_packed);
             let flat = rlwe_ntt::packed::unpack_coeffs(&via_packed);
             prop_assert_eq!(&plan.inverse_copy(&flat), a, "packed→reference on {}", label);
-
-            let mut via_swar = pack_coeffs4(a);
-            forward_swar(&plan, &mut via_swar);
-            let flat = unpack_coeffs4(&via_swar);
-            prop_assert_eq!(&plan.inverse_copy(&flat), a, "swar→reference on {}", label);
         }
     }
 
@@ -122,7 +108,7 @@ proptest! {
     }
 }
 
-/// One full pass over all four backends (reference, packed, SWAR and the
+/// One full pass over all three backends (reference, packed and the
 /// fused parallel transform) on a specialized plan, asserting
 /// bit-identity with the generic-Barrett plan's reference transform.
 fn assert_specialized_backends_match<R: rlwe_zq::Reducer>(
@@ -152,14 +138,6 @@ fn assert_specialized_backends_match<R: rlwe_zq::Reducer>(
         rlwe_ntt::packed::unpack_coeffs(&packed_words),
         a,
         "specialized packed inverse broke the round trip on {label}"
-    );
-
-    let mut lanes = pack_coeffs4(a);
-    forward_swar(special, &mut lanes);
-    assert_eq!(
-        unpack_coeffs4(&lanes),
-        reference,
-        "specialized swar forward diverged on {label}"
     );
 
     let mut x = a.to_vec();
@@ -221,7 +199,7 @@ fn specialized_plans_survive_worst_case_vectors_on_every_backend() {
 #[test]
 fn all_backends_agree_on_worst_case_vectors() {
     // All-(q−1) coefficients drive every lazy bound to its edge in every
-    // stage; the three backends must still agree bit-for-bit and produce
+    // stage; the backends must still agree bit-for-bit and produce
     // canonical outputs, and the schoolbook oracle must confirm the
     // round-trip product.
     for (label, n, q) in RINGS {
@@ -239,14 +217,6 @@ fn all_backends_agree_on_worst_case_vectors() {
             rlwe_ntt::packed::unpack_coeffs(&packed_words),
             reference,
             "packed diverged on {label}"
-        );
-
-        let mut lanes = pack_coeffs4(&worst);
-        forward_swar(&plan, &mut lanes);
-        assert_eq!(
-            unpack_coeffs4(&lanes),
-            reference,
-            "swar diverged on {label}"
         );
 
         let inv = plan.inverse_copy(&reference);

@@ -1,18 +1,20 @@
 //! Sharded lock-free nanosecond histograms with consistent snapshots.
 //!
-//! Generalizes `rlwe-engine`'s original `LatencyHistogram` (32
-//! power-of-two *microsecond* buckets) to nanosecond resolution with
-//! within-bucket interpolated quantiles, and fixes its snapshot-skew
-//! design flaw at the type level: all statistics are derived from one
-//! [`HistogramSnapshot`], a single pass over the cells, so a concurrent
-//! reader can never observe a count/sum/quantile triple that mixes two
-//! points in time more than one relaxed-load sweep apart.
+//! Power-of-two nanosecond buckets with within-bucket interpolated
+//! quantiles. All statistics are derived from one [`HistogramSnapshot`],
+//! so `len`, `mean_ns` and every quantile describe the same population.
 //!
 //! Recording is a shard pick (thread-local, assigned round-robin on
-//! first use) plus two relaxed `fetch_add`s — no locks, no CAS loops.
+//! first use) plus four `fetch_add`s and a fence — no locks, no CAS
+//! loops. Each shard brackets its two data adds (bucket count, then
+//! sum) with a `started`/`finished` pair of counters, and
+//! [`Histogram::snapshot`] re-reads a shard until both counters agree
+//! around its copy of the cells. A snapshot therefore never holds a
+//! sample's bucket without its sum (or the reverse), even while writers
+//! are running.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,16 +28,65 @@ pub const BUCKETS: usize = 40;
 /// cache line; snapshots sum across shards.
 const SHARDS: usize = 8;
 
+/// One shard's cells. `started` and `finished` count the recordings
+/// that began and completed their data adds; they are equal exactly when
+/// no recording is half-applied.
 struct Shard {
+    started: AtomicU64,
     counts: [AtomicU64; BUCKETS],
     sum_ns: AtomicU64,
+    finished: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Self {
         Self {
+            started: AtomicU64::new(0),
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_ns: AtomicU64::new(0),
+            finished: AtomicU64::new(0),
+        }
+    }
+
+    /// Adds this shard's cells into `counts`/`sum_ns`, retrying until the
+    /// copy contains only whole recordings.
+    ///
+    /// Ordering (the seqlock pattern, with a count instead of a parity
+    /// bit so several writers may share a shard): a writer bumps
+    /// `started`, issues a release fence, adds its data, then bumps
+    /// `finished` with release. The reader loads `finished` with acquire,
+    /// copies the data, issues an acquire fence and loads `started`. If
+    /// the copy includes any data add of some recording, the fence pair
+    /// makes that recording's `started` bump visible to the final load;
+    /// every recording counted by the first load is complete in the
+    /// copy. So `started == finished` proves the copy holds exactly the
+    /// recordings counted in `finished`, each one whole.
+    fn add_into(&self, counts: &mut [u64; BUCKETS], sum_ns: &mut u64) {
+        let mut attempts = 0u32;
+        loop {
+            let finished = self.finished.load(Ordering::Acquire);
+            let mut copy = [0u64; BUCKETS];
+            for (acc, cell) in copy.iter_mut().zip(self.counts.iter()) {
+                *acc = cell.load(Ordering::Relaxed);
+            }
+            let sum = self.sum_ns.load(Ordering::Relaxed);
+            fence(Ordering::Acquire);
+            if self.started.load(Ordering::Relaxed) == finished {
+                for (acc, c) in counts.iter_mut().zip(copy) {
+                    *acc += c;
+                }
+                *sum_ns = sum_ns.wrapping_add(sum);
+                return;
+            }
+            // A writer is mid-recording. It finishes within a few
+            // instructions unless it was preempted, so spin briefly, then
+            // give up the core so it can run.
+            attempts = attempts.saturating_add(1);
+            if attempts < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -106,12 +157,17 @@ impl Histogram {
         (lo, 1u64 << (i + 1))
     }
 
-    /// Records one value in nanoseconds: two relaxed atomic adds.
+    /// Records one value in nanoseconds: the two data adds, bracketed
+    /// by the shard's `started`/`finished` counters (see
+    /// [`Histogram::snapshot`]).
     #[inline]
     pub fn record_ns(&self, ns: u64) {
         let shard = &self.shards[shard_index()];
+        shard.started.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
         shard.counts[Self::bucket(ns)].fetch_add(1, Ordering::Relaxed);
         shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        shard.finished.fetch_add(1, Ordering::Release);
     }
 
     /// Records one duration (saturating at `u64::MAX` ns ≈ 584 years).
@@ -120,18 +176,17 @@ impl Histogram {
         self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64)
     }
 
-    /// One consistent point-in-time copy: a single sweep over all
-    /// shards. Every statistic ([`HistogramSnapshot::len`],
+    /// One consistent copy of the cells: every shard is copied only
+    /// while none of its recordings is half-applied, so each recorded
+    /// value contributes both its bucket count and its sum or neither.
+    /// Every statistic ([`HistogramSnapshot::len`],
     /// [`HistogramSnapshot::mean_ns`], [`HistogramSnapshot::quantile_ns`])
     /// is derived from this copy, never from a re-scan of the live cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = [0u64; BUCKETS];
         let mut sum_ns = 0u64;
         for shard in self.shards.iter() {
-            for (acc, cell) in counts.iter_mut().zip(shard.counts.iter()) {
-                *acc += cell.load(Ordering::Relaxed);
-            }
-            sum_ns = sum_ns.wrapping_add(shard.sum_ns.load(Ordering::Relaxed));
+            shard.add_into(&mut counts, &mut sum_ns);
         }
         let count = counts.iter().sum();
         HistogramSnapshot {

@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn tracing_toggle_round_trips() {
-        // Other tests share the flag; just exercise both transitions.
+        let _flag = super::span::tracing_flag_lock();
         super::set_tracing(true);
         assert!(super::tracing_enabled());
         super::set_tracing(false);

@@ -312,6 +312,16 @@ pub fn phase_totals() -> Vec<PhaseTotal> {
     totals
 }
 
+/// Serializes the unit tests that flip the process-wide tracing flag:
+/// `cargo test` runs them on parallel threads, and one test's toggle
+/// would otherwise land inside another's enabled or disabled window.
+#[cfg(test)]
+pub(crate) fn tracing_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The guard protects no data, so a poisoned lock is still usable.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +336,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = tracing_flag_lock();
         set_enabled(false);
         let id = SpanId::register("test.disabled");
         let before = sink().recorded();
@@ -337,6 +348,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_nesting() {
+        let _flag = tracing_flag_lock();
         let outer = SpanId::register("test.outer");
         let inner = SpanId::register("test.inner");
         set_enabled(true);

@@ -170,40 +170,6 @@ impl CtCdtSampler {
             *o = self.sample(bits).to_zq_with(r);
         }
     }
-
-    /// Lane-parallel fill of an eight-way coefficient-interleaved buffer:
-    /// `wide[8·i + j]` receives coefficient `i` of lane `j`, drawn from
-    /// `sources[j]`. Each lane consumes only its own source, in exactly
-    /// the per-coefficient order of a sequential
-    /// [`CtCdtSampler::sample_poly_into`] over that source — the fused
-    /// grouped-encrypt path relies on this to keep grouped output bytes
-    /// identical to sequential encrypts.
-    ///
-    /// # Panics
-    ///
-    /// If `wide.len()` is not a multiple of 8.
-    pub fn sample_interleaved8_into<R: rlwe_zq::Reducer, B: BitSource>(
-        &self,
-        r: &R,
-        sources: &mut [B; 8],
-        wide: &mut [u32],
-    ) {
-        assert_eq!(wide.len() % 8, 0, "interleaved buffer must be 8-way");
-        let mut u = [[0u32; 4]; 8];
-        let mut signs = [0u32; 8];
-        for group in wide.chunks_exact_mut(8) {
-            for (j, src) in sources.iter_mut().enumerate() {
-                for limb in u[j].iter_mut() {
-                    *limb = src.take_bits(32);
-                }
-                signs[j] = src.take_bit();
-            }
-            let ks = crate::avx2::scan8(&self.limbs, &u);
-            for (j, out) in group.iter_mut().enumerate() {
-                *out = self.finish(ks[j], signs[j]).to_zq_with(r);
-            }
-        }
-    }
 }
 
 /// Exact per-sample operation counts from [`CtCdtSampler::sample_traced`].
@@ -324,28 +290,6 @@ mod tests {
         ct.sample_poly_into(&r, &mut a, &mut bulk);
         let seq: Vec<u32> = (0..100).map(|_| ct.sample(&mut b).to_zq_with(&r)).collect();
         assert_eq!(bulk, seq);
-    }
-
-    #[test]
-    fn interleaved_lane_fill_matches_per_lane_sequential() {
-        // Eight independent sources: the interleaved fill must give, for
-        // every lane j, exactly the polynomial a sequential fill from
-        // sources[j] alone would give — deposited at stride 8.
-        let (ct, _) = sampler();
-        let r = rlwe_zq::reduce::Q7681;
-        let n = 48;
-        let mut lanes: [BufferedBitSource<SplitMix64>; 8] =
-            std::array::from_fn(|j| BufferedBitSource::new(SplitMix64::new(900 + j as u64)));
-        let mut seq_lanes = lanes.clone();
-        let mut wide = vec![0u32; 8 * n];
-        ct.sample_interleaved8_into(&r, &mut lanes, &mut wide);
-        for (j, src) in seq_lanes.iter_mut().enumerate() {
-            let mut lane = vec![0u32; n];
-            ct.sample_poly_into(&r, src, &mut lane);
-            let gathered: Vec<u32> = (0..n).map(|i| wide[8 * i + j]).collect();
-            assert_eq!(gathered, lane, "lane {j}");
-            assert_eq!(src.bits_drawn(), lanes[j].bits_drawn(), "lane {j} bits");
-        }
     }
 
     #[test]

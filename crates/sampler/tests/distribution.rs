@@ -162,34 +162,6 @@ mod cross_rung_identity {
         }
 
         #[test]
-        fn lane_parallel_lut_path_draws_the_same_distribution(seed in any::<u64>()) {
-            // Same property for the Knuth-Yao lane-parallel fill feeding
-            // the fused grouped encrypt: the gathered per-lane streams
-            // must fit the exact Gaussian like `sample_lut` itself.
-            let pmat = ProbabilityMatrix::paper_p1().unwrap();
-            let ky = KnuthYao::new(pmat.clone()).unwrap();
-            let mut sources: [BufferedBitSource<SplitMix64>; 8] = std::array::from_fn(|j| {
-                BufferedBitSource::buffered(SplitMix64::new(seed ^ (j as u64) << 56))
-            });
-            let per_lane = RUNG_SAMPLES / 8;
-            let mut samples = Vec::with_capacity(8 * per_lane);
-            for _ in 0..per_lane {
-                for s in ky.sample_lanes8(&mut sources) {
-                    samples.push(s.signed_value());
-                }
-            }
-            let observed = stats::observed_signed_histogram(&samples, MAX_MAG);
-            let (_, expected) =
-                stats::expected_signed_histogram(&pmat, samples.len() as u64, MAX_MAG);
-            let chi2 = stats::chi_square(&observed, &expected);
-            prop_assert!(
-                chi2 < RUNG_CHI2_LIMIT,
-                "lane-parallel LUT path diverged from the exact distribution: chi2 = {}",
-                chi2
-            );
-        }
-
-        #[test]
         fn ct_rung_matches_variable_time_cdt_bit_for_bit(seed in any::<u64>()) {
             // Stronger than distribution identity: on the same bit stream
             // the CT sampler and the variable-time CDT sampler invert the

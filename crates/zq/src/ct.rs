@@ -181,15 +181,6 @@ pub fn zeroize_u32(buf: &mut [u32]) {
     std::hint::black_box(buf);
 }
 
-/// Best-effort secret erasure for `u64` buffers (SWAR lane words); see
-/// [`zeroize`].
-pub fn zeroize_u64(buf: &mut [u64]) {
-    for c in buf.iter_mut() {
-        *c = 0;
-    }
-    std::hint::black_box(buf);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,8 +266,5 @@ mod tests {
         let mut words = [0xDEAD_BEEFu32; 16];
         zeroize_u32(&mut words);
         assert!(words.iter().all(|&w| w == 0));
-        let mut lanes = [0xFEED_FACE_CAFE_F00Du64; 8];
-        zeroize_u64(&mut lanes);
-        assert!(lanes.iter().all(|&w| w == 0));
     }
 }

@@ -31,7 +31,7 @@
 //!   re-reduces it to `[0,2q)`.
 //!
 //! All bounds require `q < 2³⁰` so `4q` fits a `u32` (debug builds
-//! assert it); the packed/SWAR halfword layouts tighten this to
+//! assert it); the packed halfword layout tightens this to
 //! `q < 2¹⁴` so `4q` fits 16 bits — satisfied by both paper moduli.
 //! Debug builds additionally assert every documented operand bound, so a
 //! butterfly that drifts out of its lazy domain fails loudly in

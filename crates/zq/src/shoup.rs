@@ -51,59 +51,6 @@ pub fn mul_shoup(a: u32, w: u32, w_shoup: u32, q: u32) -> u32 {
     r
 }
 
-/// Fused multiply-add against a fixed Shoup multiplicand: canonical
-/// `(a·w + b) mod q` in one lazy multiply, one add, and two masked
-/// corrections.
-///
-/// This is the pointwise kernel of the prepared-key encrypt path: with
-/// the public key's NTT-domain coefficients stored as `(w, w')` pairs,
-/// each ciphertext coefficient is `c = e1̂·ŵ + e2̂ (mod q)` computed here
-/// with no Barrett step. `a` may be **any** `u32` (lazy domain); `b`
-/// must be `< 2q` so the `[0, 2q) + [0, 2q)` sum stays below `2³²`.
-/// The result is canonical, so this path is bit-identical to the
-/// Barrett-reduced `mul_add` it replaces.
-#[inline]
-pub fn mul_shoup_add(a: u32, w: u32, w_shoup: u32, b: u32, q: u32) -> u32 {
-    debug_assert!(b < 2 * q);
-    let t = crate::lazy::mul_shoup_lazy(a, w, w_shoup, q); // [0, 2q)
-    let s = crate::lazy::reduce_once(t.wrapping_add(b), 2 * q); // [0, 2q)
-    crate::lazy::reduce_once(s, q)
-}
-
-/// Slice form of [`mul_shoup_add`]: `out[i] = (a[i]·w[i] + b[i]) mod q`
-/// with the fixed multiplicands given as parallel value/companion
-/// slices (the SoA layout of a prepared public key).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-#[inline]
-pub fn mul_shoup_add_slice(
-    a: &[u32],
-    w: &[u32],
-    w_shoup: &[u32],
-    b: &[u32],
-    out: &mut [u32],
-    q: u32,
-) {
-    assert!(
-        a.len() == w.len()
-            && a.len() == w_shoup.len()
-            && a.len() == b.len()
-            && a.len() == out.len(),
-        "mul_shoup_add_slice operands must have equal lengths"
-    );
-    for ((((o, &av), &wv), &cv), &bv) in out
-        .iter_mut()
-        .zip(a.iter())
-        .zip(w.iter())
-        .zip(w_shoup.iter())
-        .zip(b.iter())
-    {
-        *o = mul_shoup_add(av, wv, cv, bv, q);
-    }
-}
-
 /// A twiddle factor stored together with its Shoup companion word.
 ///
 /// NTT twiddle tables are arrays of these pairs so the butterfly can call
@@ -200,46 +147,5 @@ mod tests {
     #[should_panic(expected = "reduced")]
     fn unreduced_multiplicand_panics() {
         shoup_precompute(7681, 7681);
-    }
-
-    #[test]
-    fn fused_multiply_add_is_canonical_for_lazy_operands() {
-        for &q in &[7681u32, 12289] {
-            for w in (0..q).step_by(211) {
-                let ws = shoup_precompute(w, q);
-                // `a` ranges over the full lazy domain [0, 4q), `b` over
-                // the documented [0, 2q) precondition.
-                for a in (0..4 * q).step_by(509) {
-                    for &b in &[0u32, 1, q - 1, q, 2 * q - 1] {
-                        let got = mul_shoup_add(a, w, ws, b, q);
-                        let want = ((a as u64 * w as u64 + b as u64) % q as u64) as u32;
-                        assert_eq!(got, want, "a={a} w={w} b={b} q={q}");
-                        assert!(got < q, "result must be canonical");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn slice_form_matches_the_scalar_helper() {
-        let q = 12289u32;
-        let n = 64usize;
-        let a: Vec<u32> = (0..n as u32).map(|i| (i * 977 + 3) % (4 * q)).collect();
-        let w: Vec<u32> = (0..n as u32).map(|i| (i * 131 + 7) % q).collect();
-        let ws: Vec<u32> = w.iter().map(|&wv| shoup_precompute(wv, q)).collect();
-        let b: Vec<u32> = (0..n as u32).map(|i| (i * 57 + 11) % (2 * q)).collect();
-        let mut out = vec![0u32; n];
-        mul_shoup_add_slice(&a, &w, &ws, &b, &mut out, q);
-        for i in 0..n {
-            assert_eq!(out[i], mul_shoup_add(a[i], w[i], ws[i], b[i], q));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn slice_form_rejects_mismatched_lengths() {
-        let mut out = vec![0u32; 4];
-        mul_shoup_add_slice(&[0; 4], &[0; 3], &[0; 4], &[0; 4], &mut out, 7681);
     }
 }

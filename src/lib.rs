@@ -48,10 +48,11 @@
 //! # Quickstart
 //!
 //! Contexts are configured through the builder: pick a parameter set, an
-//! NTT backend (reference / packed / SWAR — all bit-identical) and a
-//! Knuth-Yao sampler variant, then encrypt. Keys and ciphertexts store
-//! typed [`scheme::Poly`]`<`[`scheme::Ntt`]`>` polynomials, so the
-//! coefficient-domain/NTT-domain distinction is checked by the compiler.
+//! NTT backend (the reference transform or runtime-detected AVX2 with a
+//! scalar fallback — bit-identical) and a sampler rung, then encrypt.
+//! Keys and ciphertexts store typed [`scheme::Poly`]`<`[`scheme::Ntt`]`>`
+//! polynomials, so the coefficient-domain/NTT-domain distinction is
+//! checked by the compiler.
 //!
 //! ```
 //! use rlwe_suite::scheme::{NttBackend, ParamSet, RlweContext, SamplerKind};
@@ -59,7 +60,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ctx = RlweContext::builder(ParamSet::P1)
-//!     .ntt_backend(NttBackend::Packed)   // backend choice is API, not module-picking
+//!     .ntt_backend(NttBackend::Avx2)   // backend choice is API, not module-picking
 //!     .sampler(SamplerKind::Lut)
 //!     .build()?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
